@@ -19,7 +19,12 @@ from .core import (
     structure_to_dict,
 )
 from .cq import canonical_structure, evaluate, load_query, query_to_dict
-from .errors import EnumerationCapError, GuardExceededError, HomforgeError
+from .errors import (
+    EnumerationCapError,
+    GuardExceededError,
+    HomforgeError,
+    UsageError,
+)
 from .homsolver import SolverConfig, decide_php
 from .tiling import TilingInstance, brute_force_tiling, encode_tiling_php
 
@@ -31,8 +36,17 @@ EXIT_GUARD = 3
 DEFAULT_GUARD = 10**6
 
 
-def _config(args):
-    guard = int(os.environ.get("HOMFORGE_GUARD", DEFAULT_GUARD))
+def _config():
+    """Solver settings; HOMFORGE_GUARD, when set, must be a positive integer."""
+    raw = os.environ.get("HOMFORGE_GUARD")
+    if raw is None:
+        return SolverConfig(product_guard=DEFAULT_GUARD)
+    try:
+        guard = int(raw)
+    except ValueError:
+        guard = 0
+    if guard < 1:
+        raise UsageError(f"HOMFORGE_GUARD must be a positive integer, got {raw!r}")
     return SolverConfig(product_guard=guard)
 
 
@@ -74,7 +88,7 @@ def _write_instance(inst, out_dir):
 
 def cmd_check_hom(args):
     inst = _load_instance(args)
-    verdict = decide_php(inst, _config(args))
+    verdict = decide_php(inst, _config())
     payload = {"answer": "YES" if verdict.yes else "NO"}
     if args.witness and verdict.witness is not None:
         payload["witness"] = _hom_to_json(verdict.witness)
@@ -82,9 +96,8 @@ def cmd_check_hom(args):
 
 
 def cmd_product(args):
-    guard = int(os.environ.get("HOMFORGE_GUARD", DEFAULT_GUARD))
     factors = [load_structure(p) for p in args.factors]
-    prod = product(factors, guard=guard)
+    prod = product(factors, guard=_config().product_guard)
     if args.out:
         save_structure(prod, args.out)
         return EXIT_YES, {"written": args.out, "size": len(prod.domain)}
@@ -143,7 +156,7 @@ def cmd_reduce_php_to_cqdef(args):
 def cmd_cq_eval(args):
     q = load_query(args.query)
     s = load_structure(args.structure)
-    answers = evaluate(q, s, _config(args))
+    answers = evaluate(q, s, _config())
     out = sorted([list(map(element_label, t)) for t in answers])
     return EXIT_YES, {"answers": out}
 
@@ -163,7 +176,7 @@ def cmd_cqdef_check(args):
     with open(args.relation, encoding="utf-8") as fh:
         data = json.load(fh)
     s_tuples = [tuple(t) for t in data]
-    verdict = cqdef.decide_cq_definability(s, s_tuples, _config(args))
+    verdict = cqdef.decide_cq_definability(s, s_tuples, _config())
     if isinstance(verdict, cqdef.Definable):
         return EXIT_YES, {
             "answer": "Definable",

@@ -5,6 +5,10 @@ class HomforgeError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class UsageError(HomforgeError):
+    """A command-line argument or environment setting is invalid."""
+
+
 class InvalidStructureError(HomforgeError):
     """A structure, signature, query, or file violates a format invariant."""
 

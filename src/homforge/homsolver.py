@@ -1,18 +1,36 @@
-"""Backtracking homomorphism solver with optional arc consistency.
+"""Homomorphism solver: generalized arc consistency and an iterative backtracking search.
 
 One CSP variable per source element, one constraint per source tuple; the
 constraint's allowed assignments are the target tuples of the same relation.
-This keeps the solver independent of arity.  All choice points are broken
-lexicographically so that results are deterministic for a fixed config.
+This keeps the solver independent of arity.
+
+Source elements are interned as ints 0..n-1 and target elements as ints
+0..|B|-1, both in canonical order, so a variable's index is its rank and
+ascending value index is the canonical value order; elements come back only
+when a solution is emitted.  A domain is a Python int used as a bitset over
+values.  Each target relation becomes one support table shared by all its
+constraints: for every (position, value) the bitset of the rows holding that
+value there, plus, for scopes that repeat a variable, the mask of rows that
+agree on the repeated positions.  Revising a constraint intersects the rows
+each position's domain still supports and keeps the values that meet a live
+row, in the manner of Compact-Table (Demeulenaere et al., CP 2016) under an
+AC-3 queue (Mackworth 1977).
+
+The search keeps a single domain list, records every domain change on a
+trail and undoes it on backtrack; an explicit stack replaces recursion, so
+depth is limited by memory rather than by the interpreter.  The variable
+picked is the most constrained one keyed on (domain size, rank), or the next
+in input order; values are tried in canonical order.  Every choice point is
+fixed and the arc-consistent fixpoint is unique, so results are
+deterministic for a fixed config.
 """
 
-import itertools
-import math
+import heapq
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Homomorphism, element_key, product
-from .errors import EnumerationCapError, GuardExceededError, SignatureMismatchError
+from .core import Homomorphism, product
+from .errors import EnumerationCapError, SignatureMismatchError
 
 VARIABLE_ORDERS = ("most-constrained-first", "input-order")
 PROPAGATIONS = ("arc-consistency", "none")
@@ -24,7 +42,6 @@ class SolverConfig:
     propagation: str = "arc-consistency"
     enumeration_cap: int | None = None
     product_guard: int = 10**6
-    materialize_product: bool = True
 
     def __post_init__(self):
         if self.variable_order not in VARIABLE_ORDERS:
@@ -45,157 +62,263 @@ class PhpVerdict:
     witness: Homomorphism | None
 
 
+class _Table:
+    """One target relation over interned values, shared by every constraint on it."""
+
+    def __init__(self, rows, arity, n_values):
+        self.rows = rows
+        self.full = (1 << len(rows)) - 1
+        # support[p][val]: bitset of the rows with value val at position p
+        self.support = [[0] * n_values for _ in range(arity)]
+        for r, row in enumerate(rows):
+            bit = 1 << r
+            for p, val in enumerate(row):
+                self.support[p][val] |= bit
+        # per position, domain bitset -> (rows it supports, ((value bit, rows), ...))
+        self.cache = [{} for _ in range(arity)]
+        self._eq = {}
+
+    def entry(self, p, dom):
+        """The cache entry of domain dom at position p, computed on first use."""
+        support = self.support[p]
+        rows = 0
+        pairs = []
+        rest = dom
+        while rest:
+            low = rest & -rest
+            s = support[low.bit_length() - 1]
+            if s:
+                rows |= s
+                pairs.append((low, s))
+            rest ^= low
+        entry = self.cache[p][dom] = (rows, tuple(pairs))
+        return entry
+
+    def agreeing(self, pattern):
+        """Rows whose positions agree wherever pattern (first position per variable) does."""
+        mask = self._eq.get(pattern)
+        if mask is None:
+            mask = 0
+            for r, row in enumerate(self.rows):
+                if all(row[p] == row[q] for p, q in enumerate(pattern)):
+                    mask |= 1 << r
+            self._eq[pattern] = mask
+        return mask
+
+
 class _Csp:
-    """Variables, per-variable candidate values, and tuple constraints."""
+    """Interned variables and values, bitset domains with a trail, shared-table constraints."""
 
-    def __init__(self, variables, values, constraints):
-        self.variables = list(variables)
-        self.domains = {v: list(values) for v in self.variables}
-        # constraint: (scope tuple of variables, allowed set of value tuples)
-        self.constraints = [(tuple(scope), set(allowed)) for scope, allowed in constraints]
-        self.var_cons = {v: [] for v in self.variables}
-        for ci, (scope, _) in enumerate(self.constraints):
-            for v in set(scope):
-                self.var_cons[v].append(ci)
+    def __init__(self, source, target):
+        if not source.signature.same_as(target.signature):
+            raise SignatureMismatchError("source and target must share a signature")
+        self.source_domain = source.domain
+        self.values = target.domain
+        self.index = {e: i for i, e in enumerate(source.domain)}
+        value_index = {e: i for i, e in enumerate(target.domain)}
+        # constraint: (table, scope of variables, rows allowed by the scope's
+        # repeats, ((variable, its first position), ...))
+        self.cons = []
+        self.var_cons = [[] for _ in source.domain]
+        for name, arity in source.signature.relations:
+            if not source.relation(name):
+                continue
+            rows = [tuple(value_index[c] for c in t) for t in target.relation(name)]
+            table = _Table(rows, arity, len(target.domain))
+            for t in source.relation(name):
+                scope = tuple(self.index[c] for c in t)
+                first = {}
+                for p, v in enumerate(scope):
+                    first.setdefault(v, p)
+                if len(first) == arity:
+                    eq = table.full
+                else:
+                    eq = table.agreeing(tuple(first[v] for v in scope))
+                ci = len(self.cons)
+                self.cons.append((table, scope, eq, tuple(first.items())))
+                for v in first:
+                    self.var_cons[v].append(ci)
+        self.dom = [(1 << len(target.domain)) - 1] * len(source.domain)
+        self.trail = []  # (variable, domain before the change)
+        self._queued = bytearray(len(self.cons))
 
-    def pin(self, var, value):
-        """Restrict a variable to a single value; False if impossible."""
-        if value not in self.domains[var]:
+    def undo(self, mark):
+        trail, dom = self.trail, self.dom
+        while len(trail) > mark:
+            v, d = trail.pop()
+            dom[v] = d
+
+    def pin(self, var, bit, propagate):
+        """Restrict var to one value bit; False on a wipeout."""
+        d = self.dom[var]
+        if not d & bit:
             return False
-        self.domains[var] = [value]
+        if d != bit:
+            self.trail.append((var, d))
+            self.dom[var] = bit
+            if propagate:
+                return self.propagate(self.var_cons[var])
         return True
 
+    def propagate(self, seeds):
+        """Revise constraints until the arc-consistent fixpoint; False on a wipeout."""
+        cons, dom, trail, var_cons = self.cons, self.dom, self.trail, self.var_cons
+        queued = self._queued
+        queue = deque(seeds)
+        for ci in queue:
+            queued[ci] = 1
+        while queue:
+            ci = queue.popleft()
+            queued[ci] = 0
+            table, scope, live, first = cons[ci]
+            cache = table.cache
+            for p, v in enumerate(scope):
+                d = dom[v]
+                entry = cache[p].get(d)
+                if entry is None:
+                    entry = table.entry(p, d)
+                live &= entry[0]
+                if not live:
+                    for cj in queue:
+                        queued[cj] = 0
+                    return False
+            # every live row agrees on repeats, so a variable's first position suffices
+            for v, p in first:
+                d = dom[v]
+                nd = 0
+                for bit, s in cache[p][d][1]:
+                    if live & s:
+                        nd |= bit
+                if nd != d:
+                    trail.append((v, d))
+                    dom[v] = nd
+                    for cj in var_cons[v]:
+                        if not queued[cj] and cj != ci:
+                            queued[cj] = 1
+                            queue.append(cj)
+        return True
 
-def _revise(csp, ci, domains):
-    """One generalized-arc-consistency pass over constraint ci.
+    def _consistent(self, var, value):
+        """Every constraint over var whose scope is fully assigned holds."""
+        for ci in self.var_cons[var]:
+            table, scope, _, _ = self.cons[ci]
+            live = table.full
+            for p, v in enumerate(scope):
+                if value[v] < 0:
+                    break
+                live &= table.support[p][value[v]]
+            else:
+                if not live:
+                    return False
+        return True
 
-    Returns the list of variables whose domains shrank, or None on wipeout.
-    """
-    scope, allowed = csp.constraints[ci]
-    support = {v: set() for v in set(scope)}
-    domsets = {v: set(domains[v]) for v in set(scope)}
-    for u in allowed:
-        partial = {}
-        ok = True
-        for pos, v in enumerate(scope):
-            val = u[pos]
-            if val not in domsets[v] or partial.setdefault(v, val) != val:
-                ok = False
-                break
-        if ok:
-            for v, val in partial.items():
-                support[v].add(val)
-    changed = []
-    for v in support:
-        if not domsets[v] <= support[v]:
-            domains[v] = [val for val in domains[v] if val in support[v]]
-            if not domains[v]:
-                return None
-            changed.append(v)
-    return changed
+    def search(self, cfg):
+        """Yield each solution as the list of value indices per variable.
 
-
-def _propagate(csp, domains, seed=None):
-    """AC-3 style fixpoint over tuple constraints; False on a domain wipeout."""
-    if seed is None:
-        queue = deque(range(len(csp.constraints)))
-    else:
-        queue = deque(ci for v in seed for ci in csp.var_cons[v])
-    queued = set(queue)
-    while queue:
-        ci = queue.popleft()
-        queued.discard(ci)
-        changed = _revise(csp, ci, domains)
-        if changed is None:
-            return False
-        for v in changed:
-            for cj in csp.var_cons[v]:
-                if cj != ci and cj not in queued:
-                    queue.append(cj)
-                    queued.add(cj)
-    return True
-
-
-def _consistent(csp, assignment, var):
-    """Check every constraint over var whose scope is fully assigned."""
-    for ci in csp.var_cons[var]:
-        scope, allowed = csp.constraints[ci]
-        if all(v in assignment for v in scope):
-            if tuple(assignment[v] for v in scope) not in allowed:
-                return False
-    return True
-
-
-def _solutions(csp, cfg):
-    """Yield complete assignments (dicts); deterministic for a fixed config."""
-    domains = {v: list(d) for v, d in csp.domains.items()}
-    if cfg.propagation == "arc-consistency":
-        if not _propagate(csp, domains):
+        The list is reused between solutions.  Domain changes stay on the
+        trail; a caller that needs the domains back undoes to its own mark.
+        """
+        dom, trail, var_cons = self.dom, self.trail, self.var_cons
+        ac = cfg.propagation == "arc-consistency"
+        mrv = cfg.variable_order == "most-constrained-first"
+        n = len(dom)
+        value = [-1] * n
+        if n == 0:
+            yield value
             return
-    elif any(not d for d in domains.values()):
-        return
+        # lazy heap of (domain size, variable); an entry is live while it
+        # matches an unassigned variable's current domain size
+        heap = [(d.bit_count(), v) for v, d in enumerate(dom)] if mrv else []
+        heapq.heapify(heap)
 
-    order = csp.variables
+        def pick():
+            if not mrv:
+                return len(stack)
+            nonlocal heap
+            if len(heap) > 4 * n:
+                heap = [(dom[v].bit_count(), v) for v in range(n) if value[v] < 0]
+                heapq.heapify(heap)
+            while True:
+                size, v = heapq.heappop(heap)
+                if value[v] < 0 and dom[v].bit_count() == size:
+                    return v
 
-    def pick(assignment, domains):
-        unassigned = [v for v in order if v not in assignment]
-        if cfg.variable_order == "input-order":
-            return unassigned[0]
-        return min(unassigned, key=lambda v: (len(domains[v]), element_key(v)))
+        stack = []  # frames [variable, untried value bits, trail mark]
+        var = pick()
+        stack.append([var, dom[var], len(trail)])
+        while stack:
+            frame = stack[-1]
+            var, untried, mark = frame
+            while len(trail) > mark:
+                v, d = trail.pop()
+                dom[v] = d
+                if mrv:
+                    heapq.heappush(heap, (d.bit_count(), v))
+            if not untried:
+                value[var] = -1
+                if mrv:
+                    heapq.heappush(heap, (dom[var].bit_count(), var))
+                stack.pop()
+                continue
+            low = untried & -untried
+            frame[1] = untried ^ low
+            value[var] = low.bit_length() - 1
+            if ac:
+                # an arc-consistent node has a support for every value, so
+                # each fully assigned scope holds without checking it
+                if dom[var] != low:
+                    trail.append((var, dom[var]))
+                    dom[var] = low
+                    if not self.propagate(var_cons[var]):
+                        continue
+                if mrv:
+                    for i in range(mark, len(trail)):
+                        v = trail[i][0]
+                        heapq.heappush(heap, (dom[v].bit_count(), v))
+            elif not self._consistent(var, value):
+                continue
+            if len(stack) == n:
+                yield value
+                continue
+            var = pick()
+            stack.append([var, dom[var], len(trail)])
 
-    def search(assignment, domains):
-        if len(assignment) == len(order):
-            yield dict(assignment)
-            return
-        var = pick(assignment, domains)
-        for val in domains[var]:
-            assignment[var] = val
-            if _consistent(csp, assignment, var):
-                sub = {v: (d if v != var else [val]) for v, d in domains.items()}
-                if cfg.propagation != "arc-consistency" or _propagate(
-                    csp, sub, seed=[var]
-                ):
-                    yield from search(assignment, sub)
-            del assignment[var]
+    def solutions(self, cfg):
+        """Root propagation, then the search."""
+        if cfg.propagation == "arc-consistency" and not self.propagate(
+            range(len(self.cons))
+        ):
+            return iter(())
+        return self.search(cfg)
 
-    yield from search({}, domains)
-
-
-def _hom_csp(source, target):
-    if not source.signature.same_as(target.signature):
-        raise SignatureMismatchError("source and target must share a signature")
-    constraints = []
-    for name, _ in source.signature.relations:
-        allowed = target.relation(name)
-        for t in source.relation(name):
-            constraints.append((t, allowed))
-    return _Csp(source.domain, target.domain, constraints)
+    def homomorphism(self, value):
+        values = self.values
+        return Homomorphism(
+            {e: values[val] for e, val in zip(self.source_domain, value)}
+        )
 
 
 def find_homomorphism(source, target, cfg=SolverConfig()):
     """First homomorphism found under the config's deterministic search, or None."""
-    csp = _hom_csp(source, target)
-    for assignment in _solutions(csp, cfg):
-        return Homomorphism(assignment)
+    csp = _Csp(source, target)
+    for value in csp.solutions(cfg):
+        return csp.homomorphism(value)
     return None
-
-
-def _mapping_key(source_domain, mapping):
-    return tuple(element_key(mapping[v]) for v in source_domain)
 
 
 def enumerate_homomorphisms(source, target, cfg=SolverConfig()):
     """All homomorphisms, in lexicographic order of their mappings."""
-    csp = _hom_csp(source, target)
+    csp = _Csp(source, target)
     results = []
-    for assignment in _solutions(csp, cfg):
-        results.append(assignment)
+    for value in csp.solutions(cfg):
+        results.append(tuple(value))
         if cfg.enumeration_cap is not None and len(results) > cfg.enumeration_cap:
             raise EnumerationCapError(
                 f"more than {cfg.enumeration_cap} homomorphisms exist"
             )
-    results.sort(key=lambda m: _mapping_key(source.domain, m))
-    return [Homomorphism(m) for m in results]
+    # value indices follow the canonical order, so this sorts the mappings
+    results.sort()
+    return [csp.homomorphism(value) for value in results]
 
 
 def image_set(source, target, cfg=SolverConfig()):
@@ -204,73 +327,55 @@ def image_set(source, target, cfg=SolverConfig()):
 
 
 def image_witnesses(source, target, cfg=SolverConfig()):
-    """Map from each achievable image tuple to one witnessing homomorphism."""
-    s = source.structure
-    dist = source.distinguished
-    csp = _hom_csp(s, target)
+    """Map from each achievable image tuple to one witnessing homomorphism.
+
+    One arc-consistency pass at the root; the candidate tuples are then
+    walked in lexicographic order as a depth-first search over the pins of
+    the distinguished elements, propagating from each pinned variable, so a
+    prefix that wipes out skips all of its extensions.
+    """
+    csp = _Csp(source.structure, target)
     out = {}
+    ac = cfg.propagation == "arc-consistency"
+    if ac and not csp.propagate(range(len(csp.cons))):
+        return out
+    dist = [csp.index[e] for e in source.distinguished]
     if not dist:
-        for assignment in _solutions(csp, cfg):
-            out[()] = Homomorphism(assignment)
+        for value in csp.search(cfg):
+            out[()] = csp.homomorphism(value)
             break
         return out
-    # one shared arc-consistency pass; pinning below only shrinks domains further
-    if cfg.propagation == "arc-consistency":
-        if not _propagate(csp, csp.domains):
-            return out
-    for cand in itertools.product(target.domain, repeat=len(dist)):
-        pinned = _Csp([], [], [])
-        pinned.variables = csp.variables
-        pinned.constraints = csp.constraints
-        pinned.var_cons = csp.var_cons
-        pinned.domains = {v: list(d) for v, d in csp.domains.items()}
-        ok = True
-        for d, b in zip(dist, cand):
-            if not pinned.pin(d, b):
-                ok = False
-                break
-        if not ok:
+    k = len(dist)
+    n_values = len(target.domain)
+    pins = [0] * k  # per level, the next value index to pin
+    marks = [len(csp.trail)] * k  # per level, the trail before its pin
+    level = 0
+    while level >= 0:
+        csp.undo(marks[level])
+        val = pins[level]
+        if val == n_values:
+            level -= 1
             continue
-        for assignment in _solutions(pinned, cfg):
-            out[cand] = Homomorphism(assignment)
+        pins[level] = val + 1
+        if not csp.pin(dist[level], 1 << val, ac):
+            continue
+        if level + 1 < k:
+            level += 1
+            pins[level] = 0
+            marks[level] = len(csp.trail)
+            continue
+        for value in csp.search(cfg):
+            cand = tuple(target.domain[pins[i] - 1] for i in range(k))
+            out[cand] = csp.homomorphism(value)
             break
     return out
 
 
 def decide_php(inst, cfg=SolverConfig()):
     """Decide whether the direct product of the factors maps into the target."""
-    if cfg.materialize_product:
-        prod = product(inst.factors, guard=cfg.product_guard)
-        hom = find_homomorphism(prod, inst.target, cfg)
-        return PhpVerdict(hom is not None, hom)
-    return _decide_php_lazy(inst, cfg)
-
-
-def _decide_php_lazy(inst, cfg):
-    """Same verdict without materializing the product structure.
-
-    Constraints are generated directly from combinations of factor tuples;
-    these are exactly the tuples of the product relation.
-    """
-    factors = inst.factors
-    target = inst.target
-    size = math.prod(len(f.domain) for f in factors)
-    if size > cfg.product_guard:
-        raise GuardExceededError(
-            f"product domain would have {size} elements (guard {cfg.product_guard})",
-            size,
-        )
-    variables = list(itertools.product(*(f.domain for f in factors)))
-    constraints = []
-    for name, arity in target.signature.relations:
-        allowed = target.relation(name)
-        for combo in itertools.product(*(f.relation(name) for f in factors)):
-            scope = tuple(tuple(t[p] for t in combo) for p in range(arity))
-            constraints.append((scope, allowed))
-    csp = _Csp(variables, target.domain, constraints)
-    for assignment in _solutions(csp, cfg):
-        return PhpVerdict(True, Homomorphism(assignment))
-    return PhpVerdict(False, None)
+    prod = product(inst.factors, guard=cfg.product_guard)
+    hom = find_homomorphism(prod, inst.target, cfg)
+    return PhpVerdict(hom is not None, hom)
 
 
 def validate_php_witness(inst, hom, cfg=SolverConfig()):

@@ -276,22 +276,25 @@ def out_path_lengths(s):
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {e: WHITE for e in s.domain}
     depth = {}
-
-    def visit(v):
-        color[v] = GRAY
-        best = 0
-        for w in succ[v]:
-            if color[w] == GRAY:
-                raise CyclicStructureError(f"cycle through {w!r}")
-            if color[w] == WHITE:
-                visit(w)
-            best = max(best, 1 + depth[w])
-        color[v] = BLACK
-        depth[v] = best
-
-    for e in s.domain:
-        if color[e] == WHITE:
-            visit(e)
+    for root in s.domain:
+        if color[root] != WHITE:
+            continue
+        # depth-first on an explicit stack of (element, its unvisited successors)
+        color[root] = GRAY
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, todo = stack[-1]
+            for w in todo:
+                if color[w] == GRAY:
+                    raise CyclicStructureError(f"cycle through {w!r}")
+                if color[w] == WHITE:
+                    color[w] = GRAY
+                    stack.append((w, iter(succ[w])))
+                    break
+            else:
+                stack.pop()
+                color[v] = BLACK
+                depth[v] = max((1 + depth[w] for w in succ[v]), default=0)
     return depth
 
 

@@ -89,6 +89,18 @@ def test_guard_exit_3(files, monkeypatch):
     assert "error" in json.loads(r.stdout)
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_guard_value_exit_2(files, value):
+    import os
+
+    env = dict(os.environ, HOMFORGE_GUARD=value)
+    edge = str(files / "edge.json")
+    for argv in (("check-hom", edge, "--target", edge), ("product", edge, edge)):
+        r = run_cli(*argv, env=env)
+        assert r.returncode == 2
+        assert "HOMFORGE_GUARD" in json.loads(r.stdout)["error"]
+
+
 def test_product_output_reparses(files, tmp_path):
     out = tmp_path / "prod.json"
     r = run_cli(

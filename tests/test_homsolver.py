@@ -139,18 +139,18 @@ def test_config_invariance_of_verdicts():
         sig = helpers.random_signature(rng)
         inst = helpers.random_php_instance(rng, sig)
         verdicts = {decide_php(inst, cfg).yes for cfg in ALL_CONFIGS}
-        verdicts.add(decide_php(inst, SolverConfig(materialize_product=False)).yes)
         assert len(verdicts) == 1
 
 
-def test_lazy_product_witness_validates():
+def test_product_witness_validates_under_every_config():
     rng = random.Random(31)
     for _ in range(20):
         sig = helpers.random_signature(rng)
         inst = helpers.random_php_instance(rng, sig)
-        v = decide_php(inst, SolverConfig(materialize_product=False))
-        if v.yes:
-            assert v.witness.is_valid(product(inst.factors), inst.target)
+        for cfg in ALL_CONFIGS:
+            v = decide_php(inst, cfg)
+            if v.yes:
+                assert v.witness.is_valid(product(inst.factors), inst.target)
 
 
 def test_composition_of_valid_homs_validates():
@@ -181,3 +181,14 @@ def test_determinism_for_fixed_config():
             assert (first is None) == (second is None)
             if first is not None:
                 assert first.mapping == second.mapping
+
+
+def test_search_deeper_than_default_recursion_limit():
+    # a 3000-element path into a 2-cycle: one search frame per element
+    nodes = tuple(f"v{i:04d}" for i in range(3000))
+    path = digraph(nodes, tuple(zip(nodes, nodes[1:])))
+    two_cycle = digraph(("u", "w"), (("u", "w"), ("w", "u")))
+    for cfg in ALL_CONFIGS:
+        h = find_homomorphism(path, two_cycle, cfg)
+        assert h is not None and h.is_valid(path, two_cycle)
+        assert h.mapping[nodes[0]] == "u"

@@ -298,3 +298,13 @@ def test_out_path_lengths_cycle_raises():
     cyc = digraph(("a", "b"), (("a", "b"), ("b", "a")))
     with pytest.raises(CyclicStructureError):
         out_path_lengths(cyc)
+
+
+def test_out_path_lengths_of_a_long_path_under_default_recursion_limit():
+    n = 5000
+    nodes = tuple(f"v{i:04d}" for i in range(n))
+    path = digraph(nodes, tuple(zip(nodes, nodes[1:])))
+    assert max_path_length(path) == n - 1
+    cycle = digraph(nodes, tuple(zip(nodes, nodes[1:] + nodes[:1])))
+    with pytest.raises(CyclicStructureError):
+        out_path_lengths(cycle)
