@@ -2,20 +2,25 @@
 
 All machine output is a single JSON document on stdout (pretty-printed with
 --pretty).  Exit codes: 0 = decided YES / Definable, 1 = decided NO /
-NotDefinable, 2 = usage or parse error, 3 = a resource guard was hit.
+NotDefinable, 2 = usage or parse error, 3 = a resource guard was hit,
+4 = internal error (an unexpected exception; its traceback goes to stderr).
 """
 
 import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import cqdef, normalform, tiling
 from .core import (
+    PhpInstance,
     element_label,
+    load_json,
     load_structure,
     product,
     save_structure,
+    string_rows,
     structure_to_dict,
 )
 from .cq import canonical_structure, evaluate, load_query, query_to_dict
@@ -32,6 +37,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+EXIT_INTERNAL = 4
 
 DEFAULT_GUARD = 10**6
 
@@ -66,8 +72,6 @@ def _hom_to_json(hom):
 
 
 def _load_instance(args):
-    from .core import PhpInstance
-
     factors = tuple(load_structure(p) for p in args.factors)
     target = load_structure(args.target)
     return PhpInstance(factors, target)
@@ -173,9 +177,7 @@ def cmd_cq_canonical(args):
 
 def cmd_cqdef_check(args):
     s = load_structure(args.structure)
-    with open(args.relation, encoding="utf-8") as fh:
-        data = json.load(fh)
-    s_tuples = [tuple(t) for t in data]
+    s_tuples = string_rows(load_json(args.relation), "the relation file")
     verdict = cqdef.decide_cq_definability(s, s_tuples, _config())
     if isinstance(verdict, cqdef.Definable):
         return EXIT_YES, {
@@ -197,12 +199,6 @@ def build_parser():
         description="Product homomorphism problem toolkit",
     )
     parser.add_argument("--pretty", action="store_true", help="indent JSON output")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="solver threads (1 guarantees reproducible output)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-hom", help="decide a PHP instance")
@@ -284,9 +280,14 @@ def main(argv=None):
     except (GuardExceededError, EnumerationCapError) as exc:
         _emit({"error": str(exc)}, args)
         return EXIT_GUARD
-    except (HomforgeError, OSError, json.JSONDecodeError) as exc:
+    except (HomforgeError, OSError) as exc:
         _emit({"error": str(exc)}, args)
         return EXIT_USAGE
+    except Exception as exc:
+        # exits 0 and 1 are decided answers, so a crash must not exit 1
+        traceback.print_exc()
+        _emit({"error": f"internal error: {type(exc).__name__}: {exc}"}, args)
+        return EXIT_INTERNAL
     _emit(payload, args)
     return code
 

@@ -11,7 +11,12 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import GuardExceededError, InvalidStructureError, SignatureMismatchError
+from .errors import (
+    GuardExceededError,
+    InvalidStructureError,
+    NotAHomomorphismError,
+    SignatureMismatchError,
+)
 
 DEFAULT_PRODUCT_GUARD = 10**6
 
@@ -231,6 +236,17 @@ def product(factors, guard=DEFAULT_PRODUCT_GUARD):
     return Structure(sig, domain, interp)
 
 
+def validate_php_witness(inst, hom):
+    """Check a PHP witness against the built product, independently of any search.
+
+    An invalid map raises NotAHomomorphismError naming the first violation.
+    """
+    try:
+        hom.validate(product(inst.factors), inst.target)
+    except InvalidStructureError as exc:
+        raise NotAHomomorphismError(str(exc)) from exc
+
+
 def projection(product_structure, i):
     """The i-th projection map out of a product structure."""
     return Homomorphism({e: e[i] for e in product_structure.domain})
@@ -293,12 +309,24 @@ def serialize(s):
     return json.dumps(structure_to_dict(s), sort_keys=True, indent=2) + "\n"
 
 
+def string_list(value, what):
+    """value as a tuple, provided it is a JSON array of strings."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise InvalidStructureError(f"{what} must be a list of strings")
+    return tuple(value)
+
+
+def string_rows(value, what):
+    """value as a list of string tuples, provided it is a JSON array of such arrays."""
+    if not isinstance(value, list):
+        raise InvalidStructureError(f"{what} must be a list of lists of strings")
+    return [string_list(row, f"each entry of {what}") for row in value]
+
+
 def structure_from_dict(data):
     if not isinstance(data, dict) or "domain" not in data or "relations" not in data:
         raise InvalidStructureError("structure file needs 'domain' and 'relations'")
-    domain = data["domain"]
-    if not isinstance(domain, list) or not all(isinstance(e, str) for e in domain):
-        raise InvalidStructureError("'domain' must be a list of strings")
+    domain = string_list(data["domain"], "'domain'")
     if len(set(domain)) != len(domain):
         raise InvalidStructureError("duplicate domain elements")
     relations = data["relations"]
@@ -311,34 +339,42 @@ def structure_from_dict(data):
         if not isinstance(spec, dict) or "arity" not in spec or "tuples" not in spec:
             raise InvalidStructureError(f"relation {name!r} needs 'arity' and 'tuples'")
         arity = spec["arity"]
-        if not isinstance(arity, int) or arity < 1:
+        if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
             raise InvalidStructureError(f"relation {name!r} has bad arity {arity!r}")
+        tuples = string_rows(spec["tuples"], f"the tuples of {name!r}")
         seen = set()
-        tuples = []
-        for t in spec["tuples"]:
-            if not isinstance(t, list) or not all(isinstance(c, str) for c in t):
-                raise InvalidStructureError(f"tuple {t!r} in {name!r} must be strings")
-            tt = tuple(t)
-            if tt in seen:
-                raise InvalidStructureError(f"duplicate tuple {t!r} in {name!r}")
-            seen.add(tt)
-            tuples.append(tt)
+        for t in tuples:
+            if t in seen:
+                raise InvalidStructureError(f"duplicate tuple {list(t)!r} in {name!r}")
+            seen.add(t)
         sig.append((name, arity))
         interp[name] = tuple(tuples)
-    return Structure(Signature(tuple(sig)), tuple(domain), interp)
+    return Structure(Signature(tuple(sig)), domain, interp)
 
 
 def parse(text):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidStructureError(f"not valid JSON: {exc}") from exc
     return structure_from_dict(data)
 
 
-def load_structure(path):
+def load_json(path):
+    """The JSON value stored in a file.
+
+    Bytes that are not UTF-8, text that is not JSON and nesting too deep to
+    decode raise InvalidStructureError rather than crash.
+    """
     with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise InvalidStructureError(f"not valid JSON: {exc}") from exc
+
+
+def load_structure(path):
+    return structure_from_dict(load_json(path))
 
 
 def save_structure(s, path):

@@ -6,10 +6,16 @@ tuple (the Chandra-Merlin correspondence).  Boolean queries are ordinary
 queries with an empty free-variable tuple.
 """
 
-import json
 from dataclasses import dataclass
 
-from .core import PointedStructure, Signature, Structure, element_label
+from .core import (
+    PointedStructure,
+    Signature,
+    Structure,
+    element_label,
+    load_json,
+    string_list,
+)
 from .errors import InvalidStructureError, UnsafeQueryError
 from .homsolver import SolverConfig, image_set
 
@@ -119,23 +125,20 @@ def query_to_dict(q):
 def query_from_dict(data):
     if not isinstance(data, dict) or not {"free", "bound", "atoms"} <= set(data):
         raise InvalidStructureError("query file needs 'free', 'bound', and 'atoms'")
+    if not isinstance(data["atoms"], list):
+        raise InvalidStructureError("'atoms' must be a list")
     atoms = []
     for atom in data["atoms"]:
-        if (
-            not isinstance(atom, list)
-            or len(atom) != 2
-            or not isinstance(atom[0], str)
-            or not isinstance(atom[1], list)
-        ):
+        if not isinstance(atom, list) or len(atom) != 2 or not isinstance(atom[0], str):
             raise InvalidStructureError(f"malformed atom {atom!r}")
-        atoms.append((atom[0], tuple(atom[1])))
-    return ConjunctiveQuery(tuple(data["free"]), tuple(data["bound"]), tuple(atoms))
+        variables = string_list(atom[1], f"the variables of atom {atom[0]!r}")
+        atoms.append((atom[0], variables))
+    return ConjunctiveQuery(
+        string_list(data["free"], "'free'"),
+        string_list(data["bound"], "'bound'"),
+        tuple(atoms),
+    )
 
 
 def load_query(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidStructureError(f"not valid JSON: {exc}") from exc
-    return query_from_dict(data)
+    return query_from_dict(load_json(path))

@@ -18,11 +18,12 @@ AC-3 queue (Mackworth 1977).
 
 The search keeps a single domain list, records every domain change on a
 trail and undoes it on backtrack; an explicit stack replaces recursion, so
-depth is limited by memory rather than by the interpreter.  The variable
-picked is the most constrained one keyed on (domain size, rank), or the next
-in input order; values are tried in canonical order.  Every choice point is
-fixed and the arc-consistent fixpoint is unique, so results are
-deterministic for a fixed config.
+depth is limited by memory rather than by the interpreter.  Every search
+starts from the arc-consistent root and restores arc consistency after each
+assignment.  The variable picked is the most constrained one keyed on
+(domain size, rank); values are tried in canonical order.  Every choice
+point is fixed and the arc-consistent fixpoint is unique, so results are
+deterministic.
 """
 
 import heapq
@@ -32,22 +33,15 @@ from dataclasses import dataclass
 from .core import Homomorphism, product
 from .errors import EnumerationCapError, SignatureMismatchError
 
-VARIABLE_ORDERS = ("most-constrained-first", "input-order")
-PROPAGATIONS = ("arc-consistency", "none")
-
 
 @dataclass(frozen=True)
 class SolverConfig:
-    variable_order: str = "most-constrained-first"
-    propagation: str = "arc-consistency"
+    """The caps on enumerated solutions and on the size of a built product."""
+
     enumeration_cap: int | None = None
     product_guard: int = 10**6
 
     def __post_init__(self):
-        if self.variable_order not in VARIABLE_ORDERS:
-            raise ValueError(f"variable_order must be one of {VARIABLE_ORDERS}")
-        if self.propagation not in PROPAGATIONS:
-            raise ValueError(f"propagation must be one of {PROPAGATIONS}")
         if self.enumeration_cap is not None and self.enumeration_cap < 1:
             raise ValueError("enumeration_cap must be >= 1")
         if self.product_guard < 1:
@@ -148,16 +142,15 @@ class _Csp:
             v, d = trail.pop()
             dom[v] = d
 
-    def pin(self, var, bit, propagate):
-        """Restrict var to one value bit; False on a wipeout."""
+    def pin(self, var, bit):
+        """Restrict var to one value bit and propagate; False on a wipeout."""
         d = self.dom[var]
         if not d & bit:
             return False
         if d != bit:
             self.trail.append((var, d))
             self.dom[var] = bit
-            if propagate:
-                return self.propagate(self.var_cons[var])
+            return self.propagate(self.var_cons[var])
         return True
 
     def propagate(self, seeds):
@@ -198,29 +191,14 @@ class _Csp:
                             queue.append(cj)
         return True
 
-    def _consistent(self, var, value):
-        """Every constraint over var whose scope is fully assigned holds."""
-        for ci in self.var_cons[var]:
-            table, scope, _, _ = self.cons[ci]
-            live = table.full
-            for p, v in enumerate(scope):
-                if value[v] < 0:
-                    break
-                live &= table.support[p][value[v]]
-            else:
-                if not live:
-                    return False
-        return True
-
-    def search(self, cfg):
+    def search(self):
         """Yield each solution as the list of value indices per variable.
 
-        The list is reused between solutions.  Domain changes stay on the
-        trail; a caller that needs the domains back undoes to its own mark.
+        The domains must be arc consistent on entry.  The list is reused
+        between solutions.  Domain changes stay on the trail; a caller that
+        needs the domains back undoes to its own mark.
         """
-        dom, trail, var_cons = self.dom, self.trail, self.var_cons
-        ac = cfg.propagation == "arc-consistency"
-        mrv = cfg.variable_order == "most-constrained-first"
+        dom, trail = self.dom, self.trail
         n = len(dom)
         value = [-1] * n
         if n == 0:
@@ -228,12 +206,10 @@ class _Csp:
             return
         # lazy heap of (domain size, variable); an entry is live while it
         # matches an unassigned variable's current domain size
-        heap = [(d.bit_count(), v) for v, d in enumerate(dom)] if mrv else []
+        heap = [(d.bit_count(), v) for v, d in enumerate(dom)]
         heapq.heapify(heap)
 
         def pick():
-            if not mrv:
-                return len(stack)
             nonlocal heap
             if len(heap) > 4 * n:
                 heap = [(dom[v].bit_count(), v) for v in range(n) if value[v] < 0]
@@ -252,44 +228,33 @@ class _Csp:
             while len(trail) > mark:
                 v, d = trail.pop()
                 dom[v] = d
-                if mrv:
-                    heapq.heappush(heap, (d.bit_count(), v))
+                heapq.heappush(heap, (d.bit_count(), v))
             if not untried:
                 value[var] = -1
-                if mrv:
-                    heapq.heappush(heap, (dom[var].bit_count(), var))
+                heapq.heappush(heap, (dom[var].bit_count(), var))
                 stack.pop()
                 continue
             low = untried & -untried
             frame[1] = untried ^ low
             value[var] = low.bit_length() - 1
-            if ac:
-                # an arc-consistent node has a support for every value, so
-                # each fully assigned scope holds without checking it
-                if dom[var] != low:
-                    trail.append((var, dom[var]))
-                    dom[var] = low
-                    if not self.propagate(var_cons[var]):
-                        continue
-                if mrv:
-                    for i in range(mark, len(trail)):
-                        v = trail[i][0]
-                        heapq.heappush(heap, (dom[v].bit_count(), v))
-            elif not self._consistent(var, value):
+            # an arc-consistent node has a support for every value, so
+            # each fully assigned scope holds without checking it
+            if not self.pin(var, low):
                 continue
+            for i in range(mark, len(trail)):
+                v = trail[i][0]
+                heapq.heappush(heap, (dom[v].bit_count(), v))
             if len(stack) == n:
                 yield value
                 continue
             var = pick()
             stack.append([var, dom[var], len(trail)])
 
-    def solutions(self, cfg):
+    def solutions(self):
         """Root propagation, then the search."""
-        if cfg.propagation == "arc-consistency" and not self.propagate(
-            range(len(self.cons))
-        ):
+        if not self.propagate(range(len(self.cons))):
             return iter(())
-        return self.search(cfg)
+        return self.search()
 
     def homomorphism(self, value):
         values = self.values
@@ -299,9 +264,9 @@ class _Csp:
 
 
 def find_homomorphism(source, target, cfg=SolverConfig()):
-    """First homomorphism found under the config's deterministic search, or None."""
+    """First homomorphism in the deterministic search order, or None."""
     csp = _Csp(source, target)
-    for value in csp.solutions(cfg):
+    for value in csp.solutions():
         return csp.homomorphism(value)
     return None
 
@@ -310,7 +275,7 @@ def enumerate_homomorphisms(source, target, cfg=SolverConfig()):
     """All homomorphisms, in lexicographic order of their mappings."""
     csp = _Csp(source, target)
     results = []
-    for value in csp.solutions(cfg):
+    for value in csp.solutions():
         results.append(tuple(value))
         if cfg.enumeration_cap is not None and len(results) > cfg.enumeration_cap:
             raise EnumerationCapError(
@@ -336,12 +301,11 @@ def image_witnesses(source, target, cfg=SolverConfig()):
     """
     csp = _Csp(source.structure, target)
     out = {}
-    ac = cfg.propagation == "arc-consistency"
-    if ac and not csp.propagate(range(len(csp.cons))):
+    if not csp.propagate(range(len(csp.cons))):
         return out
     dist = [csp.index[e] for e in source.distinguished]
     if not dist:
-        for value in csp.search(cfg):
+        for value in csp.search():
             out[()] = csp.homomorphism(value)
             break
         return out
@@ -357,14 +321,14 @@ def image_witnesses(source, target, cfg=SolverConfig()):
             level -= 1
             continue
         pins[level] = val + 1
-        if not csp.pin(dist[level], 1 << val, ac):
+        if not csp.pin(dist[level], 1 << val):
             continue
         if level + 1 < k:
             level += 1
             pins[level] = 0
             marks[level] = len(csp.trail)
             continue
-        for value in csp.search(cfg):
+        for value in csp.search():
             cand = tuple(target.domain[pins[i] - 1] for i in range(k))
             out[cand] = csp.homomorphism(value)
             break
@@ -378,12 +342,6 @@ def decide_php(inst, cfg=SolverConfig()):
     return PhpVerdict(hom is not None, hom)
 
 
-def validate_php_witness(inst, hom, cfg=SolverConfig()):
-    """Check a PHP witness against the materialized product (independent of search)."""
-    prod = product(inst.factors, guard=cfg.product_guard)
-    hom.validate(prod, inst.target)
-
-
 __all__ = [
     "SolverConfig",
     "PhpVerdict",
@@ -392,5 +350,4 @@ __all__ = [
     "image_set",
     "image_witnesses",
     "decide_php",
-    "validate_php_witness",
 ]

@@ -11,7 +11,7 @@ restrict_hom_digraph reads an original witness back off a transformed one.
 
 import itertools
 
-from .core import Homomorphism, PhpInstance, Signature, Structure, product
+from .core import Homomorphism, PhpInstance, Signature, Structure, validate_php_witness
 from .errors import (
     CyclicStructureError,
     InvalidStructureError,
@@ -83,11 +83,7 @@ def lift_hom_star(hom, inst):
     component is sent to the fresh zero.  The same mapping also validates for
     the merged (single-relation) instance, whose domains are unchanged.
     """
-    prod = product(inst.factors)
-    try:
-        hom.validate(prod, inst.target)
-    except InvalidStructureError as exc:
-        raise NotAHomomorphismError(str(exc)) from exc
+    validate_php_witness(inst, hom)
     starred = [star_transform(f) for f in inst.factors]
     mapping = {}
     for e in itertools.product(*(f.domain for f in starred)):
@@ -197,11 +193,7 @@ def lift_hom_digraph(hom, inst):
     aligned chain nodes are preserved.
     """
     padded = pad_instance(inst)
-    prod = product(padded.factors)
-    try:
-        hom.validate(prod, padded.target)
-    except InvalidStructureError as exc:
-        raise NotAHomomorphismError(str(exc)) from exc
+    validate_php_witness(padded, hom)
     name, r = _single_relation(padded.target)
     gadgets = [gadget_digraph(f, with_sinks=False) for f in padded.factors]
 
@@ -240,12 +232,7 @@ def lift_hom_digraph(hom, inst):
 
 def restrict_hom_digraph(hom, inst):
     """Read a padded-instance witness off a transformed-instance witness."""
-    transformed = digraph_transform(inst)
-    prod = product(transformed.factors)
-    try:
-        hom.validate(prod, transformed.target)
-    except InvalidStructureError as exc:
-        raise NotAHomomorphismError(str(exc)) from exc
+    validate_php_witness(digraph_transform(inst), hom)
     padded = pad_instance(inst)
     mapping = {}
     for e in itertools.product(*(f.domain for f in padded.factors)):

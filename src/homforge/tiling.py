@@ -13,11 +13,18 @@ superset of the successor pieces and is kept for study only.
 """
 
 import itertools
-import json
 from dataclasses import dataclass
 
-from .core import PhpInstance, Signature, Structure
-from .errors import GuardExceededError, InvalidStructureError, NotAHomomorphismError
+from .core import (
+    PhpInstance,
+    Signature,
+    Structure,
+    load_json,
+    string_list,
+    string_rows,
+    validate_php_witness,
+)
+from .errors import GuardExceededError, InvalidStructureError
 
 MODES = ("exact", "paper-literal")
 
@@ -206,15 +213,8 @@ def decode_hom_to_tiling(hom, inst, mode="exact", validate=True):
     With validate=True the map is first checked against the encoded instance;
     an invalid map raises NotAHomomorphismError.
     """
-    from .core import product  # local import to keep module load light
-
     if validate:
-        enc = encode_tiling_php(inst, mode)
-        prod = product(enc.factors)
-        try:
-            hom.validate(prod, enc.target)
-        except InvalidStructureError as exc:
-            raise NotAHomomorphismError(str(exc)) from exc
+        validate_php_witness(encode_tiling_php(inst, mode), hom)
     m = inst.m
     n = 2**m
     return {
@@ -248,16 +248,11 @@ def tile_system_from_dict(data):
             "tile system file needs 'tiles', 'hcompat', and 'vcompat'"
         )
     return TileSystem(
-        tuple(data["tiles"]),
-        frozenset(tuple(p) for p in data["hcompat"]),
-        frozenset(tuple(p) for p in data["vcompat"]),
+        string_list(data["tiles"], "'tiles'"),
+        frozenset(string_rows(data["hcompat"], "'hcompat'")),
+        frozenset(string_rows(data["vcompat"], "'vcompat'")),
     )
 
 
 def load_tile_system(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidStructureError(f"not valid JSON: {exc}") from exc
-    return tile_system_from_dict(data)
+    return tile_system_from_dict(load_json(path))
