@@ -38,7 +38,6 @@ from .cqdef import (
 )
 from .homsolver import (
     PhpVerdict,
-    SolverConfig,
     decide_php,
     enumerate_homomorphisms,
     find_homomorphism,

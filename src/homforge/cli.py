@@ -14,6 +14,7 @@ import traceback
 
 from . import cqdef, normalform, tiling
 from .core import (
+    DEFAULT_PRODUCT_GUARD,
     PhpInstance,
     element_label,
     load_json,
@@ -24,13 +25,8 @@ from .core import (
     structure_to_dict,
 )
 from .cq import canonical_structure, evaluate, load_query, query_to_dict
-from .errors import (
-    EnumerationCapError,
-    GuardExceededError,
-    HomforgeError,
-    UsageError,
-)
-from .homsolver import SolverConfig, decide_php
+from .errors import GuardExceededError, HomforgeError, UsageError
+from .homsolver import decide_php
 from .tiling import TilingInstance, brute_force_tiling, encode_tiling_php
 
 EXIT_YES = 0
@@ -39,21 +35,20 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_INTERNAL = 4
 
-DEFAULT_GUARD = 10**6
 
-
-def _config():
-    """Solver settings; HOMFORGE_GUARD, when set, must be a positive integer."""
+def _guard():
+    """The product size guard; HOMFORGE_GUARD, when set, must be a positive integer."""
     raw = os.environ.get("HOMFORGE_GUARD")
     if raw is None:
-        return SolverConfig(product_guard=DEFAULT_GUARD)
-    try:
-        guard = int(raw)
-    except ValueError:
-        guard = 0
+        return DEFAULT_PRODUCT_GUARD
+    digits = raw.strip()
+    # int() alone would also take "+5", "1_000" and non-ASCII digits, and it
+    # refuses more digits than its conversion limit of 4300
+    ok = digits.isascii() and digits.isdigit() and len(digits) < 4300
+    guard = int(digits) if ok else 0
     if guard < 1:
         raise UsageError(f"HOMFORGE_GUARD must be a positive integer, got {raw!r}")
-    return SolverConfig(product_guard=guard)
+    return guard
 
 
 def _emit(payload, args):
@@ -92,7 +87,7 @@ def _write_instance(inst, out_dir):
 
 def cmd_check_hom(args):
     inst = _load_instance(args)
-    verdict = decide_php(inst, _config())
+    verdict = decide_php(inst, args.guard)
     payload = {"answer": "YES" if verdict.yes else "NO"}
     if args.witness and verdict.witness is not None:
         payload["witness"] = _hom_to_json(verdict.witness)
@@ -101,7 +96,7 @@ def cmd_check_hom(args):
 
 def cmd_product(args):
     factors = [load_structure(p) for p in args.factors]
-    prod = product(factors, guard=_config().product_guard)
+    prod = product(factors, guard=args.guard)
     if args.out:
         save_structure(prod, args.out)
         return EXIT_YES, {"written": args.out, "size": len(prod.domain)}
@@ -160,7 +155,7 @@ def cmd_reduce_php_to_cqdef(args):
 def cmd_cq_eval(args):
     q = load_query(args.query)
     s = load_structure(args.structure)
-    answers = evaluate(q, s, _config())
+    answers = evaluate(q, s)
     out = sorted([list(map(element_label, t)) for t in answers])
     return EXIT_YES, {"answers": out}
 
@@ -178,7 +173,7 @@ def cmd_cq_canonical(args):
 def cmd_cqdef_check(args):
     s = load_structure(args.structure)
     s_tuples = string_rows(load_json(args.relation), "the relation file")
-    verdict = cqdef.decide_cq_definability(s, s_tuples, _config())
+    verdict = cqdef.decide_cq_definability(s, s_tuples, args.guard)
     if isinstance(verdict, cqdef.Definable):
         return EXIT_YES, {
             "answer": "Definable",
@@ -276,8 +271,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # read once, before any command runs, so every command rejects a bad value
+        args.guard = _guard()
         code, payload = args.func(args)
-    except (GuardExceededError, EnumerationCapError) as exc:
+    except GuardExceededError as exc:
         _emit({"error": str(exc)}, args)
         return EXIT_GUARD
     except (HomforgeError, OSError) as exc:

@@ -205,6 +205,20 @@ def _require_shared_signature(structures):
     return sig
 
 
+def product_domain(factors, guard=DEFAULT_PRODUCT_GUARD):
+    """Iterator over the n-tuples of factor elements, in canonical order.
+
+    The size check comes first: more than guard elements raise
+    GuardExceededError before any tuple is built.
+    """
+    size = math.prod(len(f.domain) for f in factors)
+    if size > guard:
+        raise GuardExceededError(
+            f"product domain would have {size} elements (guard {guard})", size
+        )
+    return itertools.product(*(f.domain for f in factors))
+
+
 def product(factors, guard=DEFAULT_PRODUCT_GUARD):
     """Direct product: domain is the cartesian product, tuples hold componentwise.
 
@@ -215,12 +229,7 @@ def product(factors, guard=DEFAULT_PRODUCT_GUARD):
     if not factors:
         raise InvalidStructureError("product of zero factors is undefined")
     sig = _require_shared_signature(factors)
-    size = math.prod(len(f.domain) for f in factors)
-    if size > guard:
-        raise GuardExceededError(
-            f"product domain would have {size} elements (guard {guard})", size
-        )
-    domain = tuple(itertools.product(*(f.domain for f in factors)))
+    domain = tuple(product_domain(factors, guard))
     interp = {}
     for name, arity in sig.relations:
         combos = math.prod(len(f.relation(name)) for f in factors)

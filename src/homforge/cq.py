@@ -17,7 +17,7 @@ from .core import (
     string_list,
 )
 from .errors import InvalidStructureError, UnsafeQueryError
-from .homsolver import SolverConfig, image_set
+from .homsolver import image_set
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,10 @@ def canonical_query(p):
     return ConjunctiveQuery(free, bound, tuple(atoms))
 
 
-def evaluate(q, s, cfg=SolverConfig()):
+def evaluate(q, s):
     """The set of answer tuples of q on s; {()} or set() for Boolean q."""
     pointed = canonical_structure(q, s.signature)
-    return image_set(pointed, s, cfg)
+    return image_set(pointed, s)
 
 
 def path_fan_query(r):

@@ -11,6 +11,7 @@ is a defining query.
 from dataclasses import dataclass
 
 from .core import (
+    DEFAULT_PRODUCT_GUARD,
     Homomorphism,
     PointedStructure,
     Structure,
@@ -20,7 +21,7 @@ from .core import (
 )
 from .cq import ConjunctiveQuery, canonical_query
 from .errors import InvalidStructureError, SignatureMismatchError
-from .homsolver import SolverConfig, image_witnesses
+from .homsolver import image_witnesses
 from .normalform import out_path_lengths
 
 
@@ -35,13 +36,14 @@ class NotDefinable:
     witness_hom: Homomorphism
 
 
-def decide_cq_definability(instance, s_tuples, cfg=SolverConfig()):
+def decide_cq_definability(instance, s_tuples, guard=DEFAULT_PRODUCT_GUARD):
     """Decide whether some conjunctive query q has q(instance) = s_tuples.
 
     Returns Definable with an unminimized defining query, or NotDefinable
     with the lexicographically least image tuple outside S and a validating
     homomorphism from the pointed product sending the distinguished tuple
-    there.
+    there.  A pointed product with more than guard elements or tuples per
+    relation raises GuardExceededError.
     """
     s_tuples = sorted({tuple(t) for t in s_tuples}, key=tuple_key)
     if not s_tuples:
@@ -54,12 +56,12 @@ def decide_cq_definability(instance, s_tuples, cfg=SolverConfig()):
         if not set(t) <= domset:
             raise InvalidStructureError(f"tuple {t!r} uses elements outside the domain")
 
-    pointed_product = product([instance] * len(s_tuples), guard=cfg.product_guard)
+    pointed_product = product([instance] * len(s_tuples), guard=guard)
     distinguished = tuple(
         tuple(s[j] for s in s_tuples) for j in range(k)
     )
     pointed = PointedStructure(pointed_product, distinguished)
-    witnesses = image_witnesses(pointed, instance, cfg)
+    witnesses = image_witnesses(pointed, instance)
     s_set = set(s_tuples)
     outside = sorted((t for t in witnesses if t not in s_set), key=tuple_key)
     if outside:

@@ -30,22 +30,8 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Homomorphism, product
+from .core import DEFAULT_PRODUCT_GUARD, Homomorphism, product
 from .errors import EnumerationCapError, SignatureMismatchError
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """The caps on enumerated solutions and on the size of a built product."""
-
-    enumeration_cap: int | None = None
-    product_guard: int = 10**6
-
-    def __post_init__(self):
-        if self.enumeration_cap is not None and self.enumeration_cap < 1:
-            raise ValueError("enumeration_cap must be >= 1")
-        if self.product_guard < 1:
-            raise ValueError("product_guard must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -263,7 +249,7 @@ class _Csp:
         )
 
 
-def find_homomorphism(source, target, cfg=SolverConfig()):
+def find_homomorphism(source, target):
     """First homomorphism in the deterministic search order, or None."""
     csp = _Csp(source, target)
     for value in csp.solutions():
@@ -271,27 +257,28 @@ def find_homomorphism(source, target, cfg=SolverConfig()):
     return None
 
 
-def enumerate_homomorphisms(source, target, cfg=SolverConfig()):
-    """All homomorphisms, in lexicographic order of their mappings."""
+def enumerate_homomorphisms(source, target, cap=None):
+    """All homomorphisms, in lexicographic order of their mappings.
+
+    With a cap, finding more than cap of them raises EnumerationCapError.
+    """
     csp = _Csp(source, target)
     results = []
     for value in csp.solutions():
         results.append(tuple(value))
-        if cfg.enumeration_cap is not None and len(results) > cfg.enumeration_cap:
-            raise EnumerationCapError(
-                f"more than {cfg.enumeration_cap} homomorphisms exist"
-            )
+        if cap is not None and len(results) > cap:
+            raise EnumerationCapError(f"more than {cap} homomorphisms exist")
     # value indices follow the canonical order, so this sorts the mappings
     results.sort()
     return [csp.homomorphism(value) for value in results]
 
 
-def image_set(source, target, cfg=SolverConfig()):
+def image_set(source, target):
     """All tuples the distinguished tuple of a pointed source can map to."""
-    return set(image_witnesses(source, target, cfg))
+    return set(image_witnesses(source, target))
 
 
-def image_witnesses(source, target, cfg=SolverConfig()):
+def image_witnesses(source, target):
     """Map from each achievable image tuple to one witnessing homomorphism.
 
     One arc-consistency pass at the root; the candidate tuples are then
@@ -335,15 +322,18 @@ def image_witnesses(source, target, cfg=SolverConfig()):
     return out
 
 
-def decide_php(inst, cfg=SolverConfig()):
-    """Decide whether the direct product of the factors maps into the target."""
-    prod = product(inst.factors, guard=cfg.product_guard)
-    hom = find_homomorphism(prod, inst.target, cfg)
+def decide_php(inst, guard=DEFAULT_PRODUCT_GUARD):
+    """Decide whether the direct product of the factors maps into the target.
+
+    A product with more than guard elements or tuples per relation raises
+    GuardExceededError before the search.
+    """
+    prod = product(inst.factors, guard=guard)
+    hom = find_homomorphism(prod, inst.target)
     return PhpVerdict(hom is not None, hom)
 
 
 __all__ = [
-    "SolverConfig",
     "PhpVerdict",
     "find_homomorphism",
     "enumerate_homomorphisms",

@@ -9,9 +9,14 @@ lift_hom_digraph builds the transformed witness from an original one, and
 restrict_hom_digraph reads an original witness back off a transformed one.
 """
 
-import itertools
-
-from .core import Homomorphism, PhpInstance, Signature, Structure, validate_php_witness
+from .core import (
+    Homomorphism,
+    PhpInstance,
+    Signature,
+    Structure,
+    product_domain,
+    validate_php_witness,
+)
 from .errors import (
     CyclicStructureError,
     InvalidStructureError,
@@ -83,10 +88,10 @@ def lift_hom_star(hom, inst):
     component is sent to the fresh zero.  The same mapping also validates for
     the merged (single-relation) instance, whose domains are unchanged.
     """
+    elements = product_domain([star_transform(f) for f in inst.factors])
     validate_php_witness(inst, hom)
-    starred = [star_transform(f) for f in inst.factors]
     mapping = {}
-    for e in itertools.product(*(f.domain for f in starred)):
+    for e in elements:
         mapping[e] = ZERO if ZERO in e else hom.mapping[e]
     return Homomorphism(mapping)
 
@@ -139,10 +144,6 @@ def is_tuple_node(v):
     return isinstance(v, tuple) and len(v) == 3 and v[0] == "tup"
 
 
-def is_sink(v):
-    return isinstance(v, tuple) and len(v) == 2 and v[0] == "sink"
-
-
 def node_index(v):
     return int(v[2]) if is_tuple_node(v) else int(v[1])
 
@@ -193,9 +194,10 @@ def lift_hom_digraph(hom, inst):
     aligned chain nodes are preserved.
     """
     padded = pad_instance(inst)
+    gadgets = [gadget_digraph(f, with_sinks=False) for f in padded.factors]
+    elements = product_domain(gadgets)
     validate_php_witness(padded, hom)
     name, r = _single_relation(padded.target)
-    gadgets = [gadget_digraph(f, with_sinks=False) for f in padded.factors]
 
     least_base = tuple(f.domain[0] for f in padded.factors) if all(
         f.domain for f in padded.factors
@@ -206,7 +208,7 @@ def lift_hom_digraph(hom, inst):
         return tuple(hom.mapping[tuple(t[p] for t in tuples)] for p in range(r))
 
     mapping = {}
-    for v in itertools.product(*(g.domain for g in gadgets)):
+    for v in elements:
         if all(is_base(c) for c in v):
             mapping[v] = base_node(hom.mapping[tuple(c[1] for c in v)])
         elif all(is_tuple_node(c) for c in v):
@@ -235,7 +237,7 @@ def restrict_hom_digraph(hom, inst):
     validate_php_witness(digraph_transform(inst), hom)
     padded = pad_instance(inst)
     mapping = {}
-    for e in itertools.product(*(f.domain for f in padded.factors)):
+    for e in product_domain(padded.factors):
         v = tuple(base_node(c) for c in e)
         image = hom.mapping[v]
         if not is_base(image):

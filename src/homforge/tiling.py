@@ -34,8 +34,6 @@ DIFF = (("0", "1"), ("1", "0"))
 S01 = (("0", "1"),)
 S10 = (("1", "0"),)
 
-BIT_RELATIONS = {"id": ID, "diff": DIFF, "s01": S01, "s10": S10}
-
 BRUTE_FORCE_MAX_M = 3
 
 
@@ -207,14 +205,13 @@ def coordinate_element(x, y, m):
     return tuple(str(b) for b in bits(x, m) + bits(y, m))
 
 
-def decode_hom_to_tiling(hom, inst, mode="exact", validate=True):
+def decode_hom_to_tiling(hom, inst, mode="exact"):
     """Read a PHP witness back as a grid assignment.
 
-    With validate=True the map is first checked against the encoded instance;
-    an invalid map raises NotAHomomorphismError.
+    The map is first checked against the encoded instance; an invalid map
+    raises NotAHomomorphismError.
     """
-    if validate:
-        validate_php_witness(encode_tiling_php(inst, mode), hom)
+    validate_php_witness(encode_tiling_php(inst, mode), hom)
     m = inst.m
     n = 2**m
     return {

@@ -28,7 +28,7 @@ from homforge.cqdef import (
     decide_cq_definability,
     reduce_php_to_nondefinability,
 )
-from homforge.homsolver import SolverConfig, decide_php, find_homomorphism
+from homforge.homsolver import decide_php, find_homomorphism
 from homforge.normalform import (
     digraph_transform,
     lift_hom_digraph,

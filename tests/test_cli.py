@@ -96,7 +96,17 @@ def test_bad_guard_value_exit_2(files, value):
 
     env = dict(os.environ, HOMFORGE_GUARD=value)
     edge = str(files / "edge.json")
-    for argv in (("check-hom", edge, "--target", edge), ("product", edge, edge)):
+    query = files / "q.json"
+    query.write_text(
+        json.dumps({"free": ["x"], "bound": [], "atoms": [["E", ["x", "x"]]]})
+    )
+    for argv in (
+        ("check-hom", edge, "--target", edge),
+        ("product", edge, edge),
+        ("cq", "eval", str(query), edge),
+        ("reduce", "digraph", edge, "--target", edge, "--out-dir", str(files / "dg")),
+        ("solve-tiling", "--system", str(files / "sys.json"), "--prefix", "t"),
+    ):
         r = run_cli(*argv, env=env)
         assert r.returncode == 2
         assert "HOMFORGE_GUARD" in json.loads(r.stdout)["error"]

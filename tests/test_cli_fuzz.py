@@ -1,0 +1,201 @@
+"""Property tests of the CLI exit-code contract, run in-process through cli.main.
+
+Exits 0 and 1 are decided answers and nothing else: a structure file that
+breaks the schema and a HOMFORGE_GUARD value that is not a positive integer
+must exit 2, and every YES of check-hom --witness must carry a map that
+validates against the built product.  Examples are derandomized, so every
+run checks the same ones.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import os
+import re
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from homforge import cli
+from homforge.core import (
+    Homomorphism,
+    PhpInstance,
+    digraph,
+    product,
+    save_structure,
+    validate_php_witness,
+)
+
+import helpers
+
+FUZZ = settings(derandomize=True, database=None, deadline=None)
+
+EDGE = digraph(("a", "b"), (("a", "b"),))
+VALID = {"domain": ["a", "b"], "relations": {"E": {"arity": 2, "tuples": [["a", "b"]]}}}
+
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _is_string_list(v):
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+def _is_valid_row_list(rows):
+    """True iff rows are distinct pairs over the domain of VALID."""
+    return (
+        isinstance(rows, list)
+        and all(_is_string_list(r) and len(r) == 2 and set(r) <= {"a", "b"} for r in rows)
+        and len({tuple(r) for r in rows}) == len(rows)
+    )
+
+
+MISSING = object()
+
+
+def _replace(path, value):
+    """VALID with the entry at path set to value, or deleted when value is MISSING."""
+    doc = copy.deepcopy(VALID)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is MISSING:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+def _at(*path):
+    return lambda value: _replace(path, value)
+
+
+NOT_AN_OBJECT = JSON.filter(lambda v: not isinstance(v, dict))
+ROWS = st.lists(
+    st.lists(st.sampled_from(["a", "b", "c", ""]), max_size=3), min_size=1, max_size=3
+)
+REQUIRED_KEYS = [
+    ("domain",),
+    ("relations",),
+    ("relations", "E", "arity"),
+    ("relations", "E", "tuples"),
+]
+
+# every document below breaks the structure schema by construction
+BROKEN_STRUCTURES = st.one_of(
+    JSON.filter(lambda v: not (isinstance(v, dict) and {"domain", "relations"} <= set(v))),
+    st.sampled_from(REQUIRED_KEYS).map(lambda path: _replace(path, MISSING)),
+    JSON.filter(lambda v: not _is_string_list(v)).map(_at("domain")),
+    st.just(["a", "b", "a"]).map(_at("domain")),
+    NOT_AN_OBJECT.map(_at("relations")),
+    NOT_AN_OBJECT.map(_at("relations", "E")),
+    JSON.filter(lambda v: not (type(v) is int and v == 2)).map(_at("relations", "E", "arity")),
+    JSON.filter(lambda v: not _is_valid_row_list(v)).map(_at("relations", "E", "tuples")),
+    ROWS.filter(lambda v: not _is_valid_row_list(v)).map(_at("relations", "E", "tuples")),
+)
+
+ENV_TEXT = st.text(
+    st.characters(exclude_categories=("Cs",), exclude_characters="\x00"), max_size=6
+)
+NOT_POSITIVE_INTEGERS = st.one_of(
+    st.sampled_from(["", " ", "+5", "1_000", "1.5", "1e3", "0x10", "٥", "5 5", "-1"]),
+    st.integers(max_value=0).map(str),
+    ENV_TEXT,
+).filter(lambda s: not re.fullmatch(r"0*[1-9][0-9]*", s.strip()))
+
+NAMES = ("a", "b", "c")
+
+
+def digraphs(max_size):
+    """Digraphs on the first 1..max_size of NAMES with any edge set."""
+
+    def on(n):
+        nodes = st.sampled_from(NAMES[:n])
+        edges = st.sets(st.tuples(nodes, nodes))
+        return edges.map(lambda es: digraph(NAMES[:n], sorted(es)))
+
+    return st.integers(1, max_size).flatmap(on)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    save_structure(EDGE, d / "edge.json")
+    return d
+
+
+def run_main(argv, guard=None):
+    """Exit code and parsed stdout of cli.main, with HOMFORGE_GUARD set to guard."""
+    out = io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out):
+        os.environ.pop("HOMFORGE_GUARD", None)
+        if guard is not None:
+            os.environ["HOMFORGE_GUARD"] = guard
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    return code, json.loads(out.getvalue())
+
+
+def _element(label):
+    """Inverse of element_label for product elements (nested lists of strings)."""
+
+    def tuples(v):
+        return tuple(map(tuples, v)) if isinstance(v, list) else v
+
+    return tuples(json.loads(label))
+
+
+@settings(FUZZ, max_examples=100)
+@given(doc=BROKEN_STRUCTURES, as_target=st.booleans())
+def test_schema_breaking_structure_exits_2(workdir, doc, as_target):
+    bad = str(workdir / "bad.json")
+    with open(bad, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    edge = str(workdir / "edge.json")
+    if as_target:
+        argv = ["check-hom", edge, "--target", bad]
+    else:
+        argv = ["check-hom", bad, "--target", edge]
+    code, payload = run_main(argv)
+    assert code == 2, payload
+    assert "error" in payload
+
+
+@settings(FUZZ, max_examples=60)
+@given(value=NOT_POSITIVE_INTEGERS)
+def test_guard_that_is_not_a_positive_integer_exits_2(workdir, value):
+    edge = str(workdir / "edge.json")
+    code, payload = run_main(["check-hom", edge, "--target", edge], guard=value)
+    assert code == 2, payload
+    assert "HOMFORGE_GUARD" in payload["error"]
+
+
+@settings(FUZZ, max_examples=40)
+@given(factors=st.lists(digraphs(2), min_size=1, max_size=3), target=digraphs(3))
+def test_check_hom_witness_validates(workdir, factors, target):
+    paths = []
+    for i, f in enumerate(factors):
+        paths.append(str(workdir / f"factor_{i}.json"))
+        save_structure(f, paths[-1])
+    target_path = str(workdir / "target.json")
+    save_structure(target, target_path)
+    argv = ["check-hom", *paths, "--target", target_path, "--witness"]
+    code, payload = run_main(argv)
+    assert code in (0, 1), payload
+    if code == 0:
+        hom = Homomorphism({_element(k): v for k, v in payload["witness"].items()})
+        validate_php_witness(PhpInstance(tuple(factors), target), hom)
+    else:
+        assert payload == {"answer": "NO"}
+        assert not helpers.exhaustive_hom_exists(product(factors), target)

@@ -129,7 +129,5 @@ def test_check_hom_checkerboard_m5_under_default_recursion_limit(capsys, tmp_pat
     payload = json.loads(out)
     assert payload["answer"] == "YES"
     hom = Homomorphism({_element(k): v for k, v in payload["witness"].items()})
-    grid = decode_hom_to_tiling(
-        hom, TilingInstance(CHECKER, tuple(_checker_prefix(5))), validate=True
-    )
+    grid = decode_hom_to_tiling(hom, TilingInstance(CHECKER, tuple(_checker_prefix(5))))
     assert len(grid) == 32 * 32

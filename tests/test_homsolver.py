@@ -13,7 +13,6 @@ from homforge.core import (
 )
 from homforge.errors import EnumerationCapError, SignatureMismatchError
 from homforge.homsolver import (
-    SolverConfig,
     decide_php,
     enumerate_homomorphisms,
     find_homomorphism,
@@ -72,10 +71,9 @@ def test_enumerate_empty_source_gives_empty_map():
 
 
 def test_enumeration_cap():
-    cfg = SolverConfig(enumeration_cap=1)
     two = digraph(("a", "b", "c", "d"), (("a", "b"), ("c", "d")))
     with pytest.raises(EnumerationCapError):
-        enumerate_homomorphisms(ONE_EDGE, two, cfg)
+        enumerate_homomorphisms(ONE_EDGE, two, cap=1)
 
 
 def test_image_set_of_pointed_path_into_itself():

@@ -3,15 +3,18 @@ import random
 import pytest
 
 from homforge.core import (
+    Homomorphism,
     PhpInstance,
     Signature,
     Structure,
     digraph,
     product,
+    projection,
 )
 from homforge.cq import evaluate, path_fan_query
 from homforge.errors import (
     CyclicStructureError,
+    GuardExceededError,
     InvalidStructureError,
     NotAHomomorphismError,
 )
@@ -124,12 +127,20 @@ def test_lift_hom_star_random_instances():
 
 
 def test_lift_hom_star_rejects_invalid_map():
-    from homforge.core import Homomorphism
-
     s = two_rel_example()
     inst = PhpInstance((s,), s)
     with pytest.raises(NotAHomomorphismError):
         lift_hom_star(Homomorphism({}), inst)
+
+
+def test_lift_hom_star_guards_the_starred_product():
+    # 2^13 = 8192 product elements validate, but the starred product has
+    # 3^13 = 1594323, past the default guard of 10^6
+    edge = digraph(("a", "b"), (("a", "b"),))
+    inst = PhpInstance((edge,) * 13, edge)
+    hom = projection(product(inst.factors), 0)
+    with pytest.raises(GuardExceededError):
+        lift_hom_star(hom, inst)
 
 
 def test_pad_first_coordinate_definition():
@@ -258,6 +269,17 @@ def test_lift_hom_digraph_mismatched_indices_hit_sink():
     t = ("a", "a", "a")
     node = (tuple_node(t, 1), tuple_node(t, 2))
     assert lifted.mapping[node] == sink_node(1)
+
+
+def test_lift_hom_digraph_guards_the_gadget_product():
+    # four directed 4-cycles: 4^4 = 256 padded product elements, but each
+    # gadget digraph has 4 + 16 * 3 = 52 nodes and 52^4 = 7311616 > 10^6
+    cycle = digraph("abcd", (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")))
+    loop = digraph(("v",), (("v", "v"),))
+    inst = PhpInstance((cycle,) * 4, loop)
+    hom = Homomorphism({e: "v" for e in product(inst.factors).domain})
+    with pytest.raises(GuardExceededError):
+        lift_hom_digraph(hom, inst)
 
 
 def test_restrict_validates_against_padded_instance():
