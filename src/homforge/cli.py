@@ -60,10 +60,8 @@ def _emit(payload, args):
 
 
 def _hom_to_json(hom):
-    return {
-        element_label(k): element_label(v)
-        for k, v in sorted(hom.mapping.items(), key=lambda kv: element_label(kv[0]))
-    }
+    # no sort here: _emit writes every object with sorted keys
+    return {element_label(k): element_label(v) for k, v in hom.mapping.items()}
 
 
 def _load_instance(args):
@@ -155,7 +153,7 @@ def cmd_reduce_php_to_cqdef(args):
 def cmd_cq_eval(args):
     q = load_query(args.query)
     s = load_structure(args.structure)
-    answers = evaluate(q, s)
+    answers = evaluate(q, s, args.guard)
     out = sorted([list(map(element_label, t)) for t in answers])
     return EXIT_YES, {"answers": out}
 

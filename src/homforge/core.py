@@ -1,9 +1,13 @@
 """Finite relational structures: signatures, products, unions, and the JSON file format.
 
 Element identifiers are strings; composite elements (products, unions, gadget
-nodes) are nested tuples of strings.  All constructors normalize domains and
-relation interpretations into canonical sorted order so that equal structures
-compare equal and every traversal is deterministic.
+nodes) are nested tuples of strings.  Every Structure keeps its domain and its
+relations in one canonical order, so equal structures compare equal and every
+traversal is deterministic.  The order is decided here and only here: the
+domain is sorted with element_key (strings before tuples, recursively), and
+each relation lists its tuples in lexicographic order of their components'
+ranks in that sorted domain.  Other modules derive their orders from these
+ranks rather than sorting elements again.
 """
 
 import itertools
@@ -28,21 +32,11 @@ def element_key(e):
     return (1, tuple(element_key(c) for c in e))
 
 
-def tuple_key(t):
-    return tuple(element_key(c) for c in t)
-
-
 def element_label(e):
     """Canonical string form of an element, for serialization and CLI output."""
     if isinstance(e, str):
         return e
-    return json.dumps(_to_lists(e), separators=(",", ":"))
-
-
-def _to_lists(e):
-    if isinstance(e, str):
-        return e
-    return [_to_lists(c) for c in e]
+    return json.dumps(e, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -87,31 +81,32 @@ class Structure:
     interp: dict
 
     def __post_init__(self):
-        dom = sorted(self.domain, key=element_key)
+        dom = tuple(sorted(self.domain, key=element_key))
         for a, b in zip(dom, dom[1:]):
             if a == b:
                 raise InvalidStructureError(f"duplicate domain element {a!r}")
-        dom = tuple(dom)
         object.__setattr__(self, "domain", dom)
-        domset = set(dom)
-        names = set(self.signature.names())
-        unknown = set(self.interp) - names
+        rank = {e: i for i, e in enumerate(dom)}
+        unknown = set(self.interp) - set(self.signature.names())
         if unknown:
             raise InvalidStructureError(f"relations not in signature: {sorted(unknown)}")
         interp = {}
         for name, arity in self.signature.relations:
-            tuples = set(tuple(t) for t in self.interp.get(name, ()))
-            for t in tuples:
+            # checked in input order, so the first bad tuple reported is fixed
+            by_rank = {}
+            for t in self.interp.get(name, ()):
+                t = tuple(t)
                 if len(t) != arity:
                     raise InvalidStructureError(
                         f"tuple {t!r} in {name!r} has length {len(t)}, arity is {arity}"
                     )
                 for c in t:
-                    if c not in domset:
+                    if c not in rank:
                         raise InvalidStructureError(
                             f"tuple {t!r} in {name!r} uses unknown element {c!r}"
                         )
-            interp[name] = tuple(sorted(tuples, key=tuple_key))
+                by_rank[tuple(rank[c] for c in t)] = t
+            interp[name] = tuple(by_rank[key] for key in sorted(by_rank))
         object.__setattr__(self, "interp", interp)
 
     def relation(self, name):
@@ -297,7 +292,8 @@ def binarize_unary(s):
 #
 # {"domain": ["a", "b"], "relations": {"E": {"arity": 2, "tuples": [["a","b"]]}}}
 #
-# Canonical serialization sorts the domain, the relation names, and the tuples.
+# Serialization keeps the structure's canonical order of the domain and the
+# tuples, and sorts the relation names.
 
 
 def structure_to_dict(s):

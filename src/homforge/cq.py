@@ -9,6 +9,7 @@ queries with an empty free-variable tuple.
 from dataclasses import dataclass
 
 from .core import (
+    DEFAULT_PRODUCT_GUARD,
     PointedStructure,
     Signature,
     Structure,
@@ -92,10 +93,14 @@ def canonical_query(p):
     return ConjunctiveQuery(free, bound, tuple(atoms))
 
 
-def evaluate(q, s):
-    """The set of answer tuples of q on s; {()} or set() for Boolean q."""
+def evaluate(q, s, guard=DEFAULT_PRODUCT_GUARD):
+    """The set of answer tuples of q on s; {()} or set() for Boolean q.
+
+    More than guard candidate answers (|s|^k for k free variables) raise
+    GuardExceededError before any search.
+    """
     pointed = canonical_structure(q, s.signature)
-    return image_set(pointed, s)
+    return image_set(pointed, s, guard)
 
 
 def path_fan_query(r):

@@ -15,14 +15,12 @@ from .core import (
     Homomorphism,
     PointedStructure,
     Structure,
-    element_key,
     product,
-    tuple_key,
 )
 from .cq import ConjunctiveQuery, canonical_query
 from .errors import InvalidStructureError, SignatureMismatchError
 from .homsolver import image_witnesses
-from .normalform import out_path_lengths
+from .normalform import max_path_length, out_path_lengths
 
 
 @dataclass(frozen=True)
@@ -40,32 +38,38 @@ def decide_cq_definability(instance, s_tuples, guard=DEFAULT_PRODUCT_GUARD):
     """Decide whether some conjunctive query q has q(instance) = s_tuples.
 
     Returns Definable with an unminimized defining query, or NotDefinable
-    with the lexicographically least image tuple outside S and a validating
-    homomorphism from the pointed product sending the distinguished tuple
-    there.  A pointed product with more than guard elements or tuples per
-    relation raises GuardExceededError.
+    with the least image tuple outside S, in the order of the instance's
+    domain ranks, and a validating homomorphism from the pointed product
+    sending the distinguished tuple there.  A pointed product with more than
+    guard elements or tuples per relation, or more than guard candidate
+    image tuples, raises GuardExceededError.
     """
-    s_tuples = sorted({tuple(t) for t in s_tuples}, key=tuple_key)
+    rank = {e: i for i, e in enumerate(instance.domain)}
+
+    def key(t):
+        return tuple(rank[c] for c in t)
+
+    s_tuples = [tuple(t) for t in s_tuples]
     if not s_tuples:
         raise InvalidStructureError("S must be nonempty")
     k = len(s_tuples[0])
-    domset = set(instance.domain)
-    for t in s_tuples:
+    for t in s_tuples:  # in input order, so the first bad tuple reported is fixed
         if len(t) != k:
             raise InvalidStructureError("all tuples of S must have the same length")
-        if not set(t) <= domset:
+        if not all(c in rank for c in t):
             raise InvalidStructureError(f"tuple {t!r} uses elements outside the domain")
+    s_set = set(s_tuples)
+    s_tuples = sorted(s_set, key=key)
 
     pointed_product = product([instance] * len(s_tuples), guard=guard)
     distinguished = tuple(
         tuple(s[j] for s in s_tuples) for j in range(k)
     )
     pointed = PointedStructure(pointed_product, distinguished)
-    witnesses = image_witnesses(pointed, instance)
-    s_set = set(s_tuples)
-    outside = sorted((t for t in witnesses if t not in s_set), key=tuple_key)
+    witnesses = image_witnesses(pointed, instance, guard=guard)
+    outside = [t for t in witnesses if t not in s_set]
     if outside:
-        least = outside[0]
+        least = min(outside, key=key)
         return NotDefinable(least, witnesses[least])
     # image always contains S (projection homomorphisms), so image == S here
     return Definable(canonical_query(pointed))
@@ -96,7 +100,7 @@ def reduce_php_to_nondefinability(inst):
     if len(sig.relations) != 1 or sig.relations[0][1] != 2:
         raise SignatureMismatchError("reduction needs a single binary relation")
     name, _ = sig.relations[0]
-    lengths = {max(out_path_lengths(s).values(), default=0) for s in structures}
+    lengths = {max_path_length(s) for s in structures}
     if len(lengths) != 1:
         raise InvalidStructureError(
             f"structures disagree on maximum path length: {sorted(lengths)}"
@@ -115,7 +119,8 @@ def reduce_php_to_nondefinability(inst):
         edges.extend(((tag, a), (tag, b)) for a, b in s.relation(name))
         edges.extend((apex, (tag, e)) for e in s.domain)
     combined = Structure(sig, tuple(domain), {name: tuple(edges)})
-    s_tuples = tuple((a,) for a in sorted(apexes, key=element_key))
+    apex_set = set(apexes)
+    s_tuples = tuple((e,) for e in combined.domain if e in apex_set)
     return CqDefReduction(combined, s_tuples, apexes, target_apex, r)
 
 

@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .core import DEFAULT_PRODUCT_GUARD, Homomorphism, product
-from .errors import EnumerationCapError, SignatureMismatchError
+from .errors import EnumerationCapError, GuardExceededError, SignatureMismatchError
 
 
 @dataclass(frozen=True)
@@ -273,19 +273,26 @@ def enumerate_homomorphisms(source, target, cap=None):
     return [csp.homomorphism(value) for value in results]
 
 
-def image_set(source, target):
+def image_set(source, target, guard=DEFAULT_PRODUCT_GUARD):
     """All tuples the distinguished tuple of a pointed source can map to."""
-    return set(image_witnesses(source, target))
+    return set(image_witnesses(source, target, guard))
 
 
-def image_witnesses(source, target):
+def image_witnesses(source, target, guard=DEFAULT_PRODUCT_GUARD):
     """Map from each achievable image tuple to one witnessing homomorphism.
 
     One arc-consistency pass at the root; the candidate tuples are then
     walked in lexicographic order as a depth-first search over the pins of
     the distinguished elements, propagating from each pinned variable, so a
-    prefix that wipes out skips all of its extensions.
+    prefix that wipes out skips all of its extensions.  More than guard
+    candidate tuples (|target|^k for k distinguished elements) raise
+    GuardExceededError before the search.
     """
+    candidates = len(target.domain) ** len(source.distinguished)
+    if candidates > guard:
+        raise GuardExceededError(
+            f"image would have {candidates} candidate tuples (guard {guard})", candidates
+        )
     csp = _Csp(source.structure, target)
     out = {}
     if not csp.propagate(range(len(csp.cons))):

@@ -11,6 +11,22 @@ import random
 from homforge.core import PhpInstance, Signature, Structure
 
 
+def reference_element_key(e):
+    """The canonical element order by its definition: strings before tuples, recursively.
+
+    homforge.core sorts only the domain by element and orders relation
+    tuples by domain ranks; this key is kept apart so tests can check both
+    orders against the definition.
+    """
+    if isinstance(e, str):
+        return (0, e)
+    return (1, tuple(reference_element_key(c) for c in e))
+
+
+def reference_tuple_key(t):
+    return tuple(reference_element_key(c) for c in t)
+
+
 def exhaustive_homs(source, target):
     """All homomorphisms by checking every possible total map."""
     rel_sets = {name: set(target.relation(name)) for name in target.signature.names()}

@@ -112,6 +112,51 @@ def test_bad_guard_value_exit_2(files, value):
         assert "HOMFORGE_GUARD" in json.loads(r.stdout)["error"]
 
 
+def test_cq_eval_image_guard_exit_3(files):
+    import os
+
+    env = dict(os.environ, HOMFORGE_GUARD="1")
+    query = files / "q.json"
+    query.write_text(
+        json.dumps({"free": ["x"], "bound": [], "atoms": [["E", ["x", "x"]]]})
+    )
+    # the product guard cannot fire here: only the image candidates (2^1) exceed 1
+    r = run_cli("cq", "eval", str(query), str(files / "edge.json"), env=env)
+    assert r.returncode == 3
+    assert "candidate" in json.loads(r.stdout)["error"]
+
+
+def test_bad_tuple_error_is_independent_of_hash_seed(files, tmp_path):
+    import os
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "domain": ["a"],
+                "relations": {
+                    "E": {
+                        "arity": 2,
+                        "tuples": [["a", "x"], ["a", "y"], ["z", "a"], ["w", "w"]],
+                    }
+                },
+            }
+        )
+    )
+    rel = tmp_path / "s.json"
+    rel.write_text(json.dumps([["a"], ["x"], ["y"], ["z"], ["w"]]))
+    for argv in (
+        ("check-hom", str(bad), "--target", str(bad)),
+        ("cqdef", "check", str(files / "edge.json"), "--relation", str(rel)),
+    ):
+        runs = [
+            run_cli(*argv, env=dict(os.environ, PYTHONHASHSEED=seed))
+            for seed in ("1", "2")
+        ]
+        assert [r.returncode for r in runs] == [2, 2]
+        assert runs[0].stdout == runs[1].stdout
+
+
 def _assert_json_error(r, code):
     assert r.returncode == code
     assert "error" in json.loads(r.stdout)

@@ -2,9 +2,11 @@
 
 Exits 0 and 1 are decided answers and nothing else: a structure file that
 breaks the schema and a HOMFORGE_GUARD value that is not a positive integer
-must exit 2, and every YES of check-hom --witness must carry a map that
-validates against the built product.  Examples are derandomized, so every
-run checks the same ones.
+must exit 2, every YES of check-hom --witness must carry a map that
+validates against the built product, and every answer of cqdef check
+--witness must carry its certificate: a query that evaluates to exactly S,
+or a map of the pointed product sending the distinguished tuple outside S.
+Examples are derandomized, so every run checks the same ones.
 """
 
 import contextlib
@@ -28,6 +30,7 @@ from homforge.core import (
     save_structure,
     validate_php_witness,
 )
+from homforge.cq import evaluate, query_from_dict
 
 import helpers
 
@@ -199,3 +202,47 @@ def test_check_hom_witness_validates(workdir, factors, target):
     else:
         assert payload == {"answer": "NO"}
         assert not helpers.exhaustive_hom_exists(product(factors), target)
+
+
+@st.composite
+def cqdef_instances(draw):
+    """A digraph on at most three nodes and a nonempty relation S of 1..3 tuples over it."""
+    g = draw(digraphs(3))
+    k = draw(st.integers(1, 2))
+    tuples = st.tuples(*[st.sampled_from(g.domain)] * k)
+    return g, draw(st.lists(tuples, min_size=1, max_size=3))
+
+
+@settings(FUZZ, max_examples=60)
+@given(case=cqdef_instances())
+def test_cqdef_check_witness_certifies_the_answer(workdir, case):
+    g, s_rows = case
+    structure = str(workdir / "instance.json")
+    save_structure(g, structure)
+    relation = str(workdir / "relation.json")
+    with open(relation, "w", encoding="utf-8") as fh:
+        json.dump(s_rows, fh)
+    code, payload = run_main(["cqdef", "check", structure, "--relation", relation, "--witness"])
+    s_set = set(s_rows)
+    # the pointed product of the copies (g, s), s in S in the canonical order
+    s_sorted = sorted(s_set, key=helpers.reference_tuple_key)
+    pointed = product([g] * len(s_sorted))
+    distinguished = [tuple(s[j] for s in s_sorted) for j in range(len(s_rows[0]))]
+    if code == 2:
+        # only when the image is S but the canonical query would leave a
+        # free variable in no atom, which ConjunctiveQuery rejects as unsafe
+        assert "free variables occur in no atom" in payload["error"]
+        used = {c for t in pointed.relation("E") for c in t}
+        assert not set(distinguished) <= used
+        return
+    if code == 0:
+        assert payload["answer"] == "Definable"
+        assert evaluate(query_from_dict(payload["query"]), g) == s_set
+        return
+    assert code == 1, payload
+    assert payload["answer"] == "NotDefinable"
+    witness_tuple = tuple(payload["witness_tuple"])
+    assert witness_tuple not in s_set
+    hom = Homomorphism({_element(k): v for k, v in payload["witness_hom"].items()})
+    hom.validate(pointed, g)
+    assert tuple(hom(d) for d in distinguished) == witness_tuple

@@ -21,6 +21,7 @@ from homforge.errors import (
     SignatureMismatchError,
 )
 from homforge.homsolver import decide_php
+from homforge.normalform import gadget_digraph, pad_first_coordinate, star_transform
 
 import helpers
 
@@ -47,6 +48,49 @@ def test_structure_invariants():
     s = Structure(sig, ("b", "a"), {})
     assert s.domain == ("a", "b")
     assert s.relation("E") == ()
+
+
+def _nested_element(rng, depth=2):
+    if depth == 0 or rng.random() < 0.4:
+        return rng.choice(["", "a", "b", "a2", "a10", "B"])
+    return tuple(_nested_element(rng, depth - 1) for _ in range(rng.randint(0, 3)))
+
+
+def test_relations_follow_the_reference_order():
+    rng = random.Random(20121215)
+    for _ in range(40):
+        sig = helpers.random_signature(rng, max_relations=2, max_arity=3)
+        a = helpers.random_structure(rng, sig, max_dom=3)
+        prod = product([a, helpers.random_structure(rng, sig, max_dom=2)])
+        pool = list(dict.fromkeys(_nested_element(rng) for _ in range(6)))
+        nested = Structure(
+            Signature((("R", 2),)),
+            tuple(pool),
+            {"R": [(rng.choice(pool), rng.choice(pool)) for _ in range(8)]},
+        )
+        samples = [
+            a,  # strings
+            prod,  # tuples
+            star_transform(prod),  # strings and tuples
+            gadget_digraph(pad_first_coordinate(nested), with_sinks=True),
+            nested,  # nested tuples of mixed lengths, strings and tuples inside
+        ]
+        for s in samples:
+            domain = list(s.domain)
+            rng.shuffle(domain)
+            interp = {}
+            for name in s.signature.names():
+                tuples = list(s.relation(name))
+                rng.shuffle(tuples)
+                interp[name] = tuples + tuples[:2]
+            rebuilt = Structure(s.signature, tuple(domain), interp)
+            assert rebuilt.domain == tuple(
+                sorted(domain, key=helpers.reference_element_key)
+            )
+            for name in s.signature.names():
+                assert rebuilt.relation(name) == tuple(
+                    sorted(set(interp[name]), key=helpers.reference_tuple_key)
+                )
 
 
 def test_single_factor_product_is_isomorphic_wrapping():

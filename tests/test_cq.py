@@ -12,7 +12,7 @@ from homforge.cq import (
     query_from_dict,
     query_to_dict,
 )
-from homforge.errors import InvalidStructureError, UnsafeQueryError
+from homforge.errors import GuardExceededError, InvalidStructureError, UnsafeQueryError
 from homforge.homsolver import enumerate_homomorphisms, find_homomorphism
 
 import helpers
@@ -100,6 +100,17 @@ def test_evaluate_self_loop_query():
     q = ConjunctiveQuery(("x",), (), (("E", ("x", "x")),))
     s = digraph(("u", "v"), (("u", "v"), ("v", "v")))
     assert evaluate(q, s) == {("v",)}
+
+
+def test_evaluate_guards_the_image_candidates():
+    nodes = tuple(f"v{i}" for i in range(10))
+    complete = digraph(nodes, [(a, b) for a in nodes for b in nodes])
+    xs = ("x1", "x2", "x3")
+    q = ConjunctiveQuery(xs, (), tuple(("E", (x, x)) for x in xs))
+    with pytest.raises(GuardExceededError) as exc:
+        evaluate(q, complete, guard=999)
+    assert exc.value.cardinality == 1000
+    assert len(evaluate(q, complete)) == 1000
 
 
 def test_chandra_merlin_correspondence():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,11 @@ from homforge.cqdef import (
     decide_cq_definability,
     reduce_php_to_nondefinability,
 )
-from homforge.errors import InvalidStructureError, SignatureMismatchError
+from homforge.errors import (
+    GuardExceededError,
+    InvalidStructureError,
+    SignatureMismatchError,
+)
 from homforge.homsolver import decide_php
 from homforge.normalform import digraph_transform
 
@@ -54,6 +59,16 @@ def test_mixed_arity_s_rejected():
         decide_cq_definability(PATH3, [("a",), ("a", "b")])
 
 
+def test_image_candidates_are_guarded():
+    nodes = tuple(f"v{i}" for i in range(10))
+    complete = digraph(nodes, [(a, b) for a in nodes for b in nodes])
+    # one tuple of S: the pointed product has 10 elements, the image 10^3 candidates
+    with pytest.raises(GuardExceededError) as exc:
+        decide_cq_definability(complete, [("v0", "v1", "v2")], guard=999)
+    assert exc.value.cardinality == 1000
+    assert isinstance(decide_cq_definability(complete, [("v0", "v1", "v2")]), NotDefinable)
+
+
 def test_definable_verdicts_are_sound():
     rng = random.Random(71)
     from homforge.core import Signature
@@ -69,6 +84,32 @@ def test_definable_verdicts_are_sound():
             assert verdict.witness_tuple != (elem,)
             n = 1
             verdict.witness_hom.validate(product([s] * n), s)
+
+
+def test_witness_tuple_is_the_least_image_outside_s():
+    rng = random.Random(1212)
+    sig = helpers.random_signature(rng, max_relations=1, max_arity=2)
+    checked = 0
+    for _ in range(30):
+        s = helpers.random_structure(rng, sig, max_dom=3)
+        k = rng.randint(1, 2)
+        candidates = sorted(itertools.product(s.domain, repeat=k))
+        s_rows = rng.sample(candidates, min(len(candidates), rng.randint(1, 2)))
+        s_sorted = sorted(s_rows, key=helpers.reference_tuple_key)
+        pointed = product([s] * len(s_sorted))
+        distinguished = [tuple(t[j] for t in s_sorted) for j in range(k)]
+        images = {
+            tuple(h[d] for d in distinguished)
+            for h in helpers.exhaustive_homs(pointed, s)
+        }
+        outside = images - set(s_rows)
+        if not outside:
+            continue
+        verdict = decide_cq_definability(s, s_rows)
+        assert isinstance(verdict, NotDefinable)
+        assert verdict.witness_tuple == min(outside, key=helpers.reference_tuple_key)
+        checked += 1
+    assert checked >= 10
 
 
 def test_binary_s_supported():
@@ -99,6 +140,14 @@ def test_reduction_counts_and_audit():
     )
     assert audit_apex_paths(red)
     assert red.s_tuples == tuple((a,) for a in red.apexes)
+
+
+def test_reduction_lists_apexes_in_canonical_order():
+    edge = digraph(("a", "b"), (("a", "b"),))
+    red = reduce_php_to_nondefinability(digraph_transform(PhpInstance((edge,) * 11, edge)))
+    expected = sorted(red.apexes, key=helpers.reference_element_key)
+    assert red.s_tuples == tuple((a,) for a in expected)
+    assert red.s_tuples[2] == (("apex", "10"),)  # "10" sorts before "2"
 
 
 def test_reduction_rejects_wrong_signature():
