@@ -177,6 +177,11 @@ def cmd_cqdef_check(args):
             "answer": "Definable",
             "query": query_to_dict(verdict.query),
         }
+    if verdict.isolated_position is not None:
+        return EXIT_NO, {
+            "answer": "NotDefinable",
+            "isolated_position": verdict.isolated_position,
+        }
     payload = {
         "answer": "NotDefinable",
         "witness_tuple": [element_label(c) for c in verdict.witness_tuple],

@@ -6,14 +6,16 @@ relations in one canonical order, so equal structures compare equal and every
 traversal is deterministic.  The order is decided here and only here: the
 domain is sorted with element_key (strings before tuples, recursively), and
 each relation lists its tuples in lexicographic order of their components'
-ranks in that sorted domain.  Other modules derive their orders from these
-ranks rather than sorting elements again.
+ranks in that sorted domain.  That interning is kept on the structure as
+rank (element -> its index in the domain) and rows (relation name -> its
+tuples as rank tuples, in the same order); other modules read these rather
+than sorting elements or building their own index maps.
 """
 
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     GuardExceededError,
@@ -79,6 +81,8 @@ class Structure:
     signature: Signature
     domain: tuple
     interp: dict
+    rank: dict = field(init=False, compare=False, repr=False)
+    rows: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         dom = tuple(sorted(self.domain, key=element_key))
@@ -87,10 +91,12 @@ class Structure:
                 raise InvalidStructureError(f"duplicate domain element {a!r}")
         object.__setattr__(self, "domain", dom)
         rank = {e: i for i, e in enumerate(dom)}
+        object.__setattr__(self, "rank", rank)
         unknown = set(self.interp) - set(self.signature.names())
         if unknown:
             raise InvalidStructureError(f"relations not in signature: {sorted(unknown)}")
         interp = {}
+        rows = {}
         for name, arity in self.signature.relations:
             # checked in input order, so the first bad tuple reported is fixed
             by_rank = {}
@@ -106,8 +112,10 @@ class Structure:
                             f"tuple {t!r} in {name!r} uses unknown element {c!r}"
                         )
                 by_rank[tuple(rank[c] for c in t)] = t
-            interp[name] = tuple(by_rank[key] for key in sorted(by_rank))
+            rows[name] = tuple(sorted(by_rank))
+            interp[name] = tuple(by_rank[key] for key in rows[name])
         object.__setattr__(self, "interp", interp)
+        object.__setattr__(self, "rows", rows)
 
     def relation(self, name):
         return self.interp[name]
@@ -125,9 +133,8 @@ class PointedStructure:
 
     def __post_init__(self):
         object.__setattr__(self, "distinguished", tuple(self.distinguished))
-        domset = set(self.structure.domain)
         for e in self.distinguished:
-            if e not in domset:
+            if e not in self.structure.rank:
                 raise InvalidStructureError(f"distinguished element {e!r} not in domain")
 
 
@@ -165,11 +172,10 @@ class Homomorphism:
 
     def validate(self, source, target):
         """Raise InvalidStructureError describing the first violation found."""
-        tdom = set(target.domain)
         for e in source.domain:
             if e not in self.mapping:
                 raise InvalidStructureError(f"element {e!r} is unmapped")
-            if self.mapping[e] not in tdom:
+            if self.mapping[e] not in target.rank:
                 raise InvalidStructureError(
                     f"{e!r} maps to {self.mapping[e]!r}, not a target element"
                 )

@@ -79,13 +79,14 @@ def canonical_structure(q, sig):
 def canonical_query(p):
     """One variable per element, one atom per tuple, free at the distinguished tuple.
 
-    Raises UnsafeQueryError when a distinguished element occurs in no tuple;
-    the caller must pre-pad the structure in that case.
+    Raises UnsafeQueryError when a distinguished element occurs in no tuple,
+    since its free variable would occur in no atom.
     """
     s = p.structure
     names = {e: element_label(e) for e in s.domain}
     free = tuple(names[e] for e in p.distinguished)
-    bound = tuple(names[e] for e in s.domain if e not in set(p.distinguished))
+    distinguished = set(p.distinguished)
+    bound = tuple(names[e] for e in s.domain if e not in distinguished)
     atoms = []
     for name, _ in s.signature.relations:
         for t in s.relation(name):

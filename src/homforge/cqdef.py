@@ -5,7 +5,11 @@ when the product of the pointed copies (I, s) for s in S cannot map its
 distinguished tuple outside S.  When it can, that homomorphism is a
 certificate of non-definability (conjunctive queries are preserved by
 homomorphisms); when it cannot, the canonical query of the pointed product
-is a defining query.
+is a defining query, unless a distinguished element occurs in no tuple.
+Queries here are safe: every free variable occurs in an atom.  A safe q
+with S within q(I) maps into the pointed product, its j-th free variable
+going to the j-th distinguished element, which then lies in a tuple; so an
+isolated distinguished element makes S not definable.
 """
 
 from dataclasses import dataclass
@@ -30,8 +34,16 @@ class Definable:
 
 @dataclass(frozen=True)
 class NotDefinable:
-    witness_tuple: tuple
-    witness_hom: Homomorphism
+    """A homomorphism certificate, or the position of an isolated distinguished element.
+
+    Either witness_tuple and witness_hom are set, or isolated_position is
+    the least j whose distinguished element occurs in no tuple of the
+    pointed product, and the other two are None.
+    """
+
+    witness_tuple: tuple | None
+    witness_hom: Homomorphism | None
+    isolated_position: int | None = None
 
 
 def decide_cq_definability(instance, s_tuples, guard=DEFAULT_PRODUCT_GUARD):
@@ -40,11 +52,13 @@ def decide_cq_definability(instance, s_tuples, guard=DEFAULT_PRODUCT_GUARD):
     Returns Definable with an unminimized defining query, or NotDefinable
     with the least image tuple outside S, in the order of the instance's
     domain ranks, and a validating homomorphism from the pointed product
-    sending the distinguished tuple there.  A pointed product with more than
+    sending the distinguished tuple there.  When the image is S but a
+    distinguished element occurs in no tuple, NotDefinable names its
+    position instead.  A pointed product with more than
     guard elements or tuples per relation, or more than guard candidate
     image tuples, raises GuardExceededError.
     """
-    rank = {e: i for i, e in enumerate(instance.domain)}
+    rank = instance.rank
 
     def key(t):
         return tuple(rank[c] for c in t)
@@ -72,6 +86,10 @@ def decide_cq_definability(instance, s_tuples, guard=DEFAULT_PRODUCT_GUARD):
         least = min(outside, key=key)
         return NotDefinable(least, witnesses[least])
     # image always contains S (projection homomorphisms), so image == S here
+    used = {v for rows in pointed_product.rows.values() for row in rows for v in row}
+    for j, d in enumerate(distinguished):
+        if pointed_product.rank[d] not in used:
+            return NotDefinable(None, None, isolated_position=j)
     return Definable(canonical_query(pointed))
 
 

@@ -1,29 +1,41 @@
-"""Homomorphism solver: generalized arc consistency and an iterative backtracking search.
+"""Homomorphism solver: generalized arc consistency and one iterative backtracking search.
 
 One CSP variable per source element, one constraint per source tuple; the
 constraint's allowed assignments are the target tuples of the same relation.
 This keeps the solver independent of arity.
 
-Source elements are interned as ints 0..n-1 and target elements as ints
-0..|B|-1, both in canonical order, so a variable's index is its rank and
-ascending value index is the canonical value order; elements come back only
-when a solution is emitted.  A domain is a Python int used as a bitset over
-values.  Each target relation becomes one support table shared by all its
-constraints: for every (position, value) the bitset of the rows holding that
-value there, plus, for scopes that repeat a variable, the mask of rows that
-agree on the repeated positions.  Revising a constraint intersects the rows
-each position's domain still supports and keeps the values that meet a live
-row, in the manner of Compact-Table (Demeulenaere et al., CP 2016) under an
-AC-3 queue (Mackworth 1977).
+The interning is the one core.Structure keeps: a variable is a source
+element's rank, a value is a target element's rank, and the constraint
+scopes and table rows are the structures' rank rows, so ascending value
+index is the canonical value order; elements come back only when a solution
+is emitted.  A domain is a Python int used as a bitset over values.  Each
+target relation becomes one support table shared by all its constraints:
+for every (position, value) the bitset of the rows holding that value
+there, plus, for scopes that repeat a variable, the mask of rows that agree
+on the repeated positions.  Revising a constraint intersects the rows each
+position's domain still supports and keeps the values that meet a live row,
+in the manner of Compact-Table (Demeulenaere et al., CP 2016) under an AC-3
+queue (Mackworth 1977).
 
-The search keeps a single domain list, records every domain change on a
-trail and undoes it on backtrack; an explicit stack replaces recursion, so
-depth is limited by memory rather than by the interpreter.  Every search
-starts from the arc-consistent root and restores arc consistency after each
-assignment.  The variable picked is the most constrained one keyed on
-(domain size, rank); values are tried in canonical order.  Every choice
-point is fixed and the arc-consistent fixpoint is unique, so results are
-deterministic.
+There is one search, _Csp.search(prefix).  It propagates at the root, then
+keeps a single domain list, records every domain change on a trail and
+undoes it on backtrack; an explicit stack replaces recursion, so depth is
+limited by memory rather than by the interpreter.  Arc consistency is
+restored after each assignment.  The distinct prefix variables are assigned
+first, in the given order; after them, the variable picked is the most
+constrained one keyed on (domain size, rank).  Values are tried in
+canonical order.  After each solution the search backtracks to the last
+prefix variable, so every assignment of the prefix yields its first
+solution only.  The callers differ only in the prefix:
+
+- find_homomorphism: no prefix, so the first solution and nothing more;
+- enumerate_homomorphisms: every variable in rank order, so every solution,
+  in lexicographic order of the mappings;
+- image_witnesses: the distinguished elements, so one witness per
+  achievable image tuple, in lexicographic order of the tuples.
+
+Every choice point is fixed and the arc-consistent fixpoint is unique, so
+results are deterministic.
 """
 
 import heapq
@@ -94,19 +106,15 @@ class _Csp:
             raise SignatureMismatchError("source and target must share a signature")
         self.source_domain = source.domain
         self.values = target.domain
-        self.index = {e: i for i, e in enumerate(source.domain)}
-        value_index = {e: i for i, e in enumerate(target.domain)}
         # constraint: (table, scope of variables, rows allowed by the scope's
         # repeats, ((variable, its first position), ...))
         self.cons = []
         self.var_cons = [[] for _ in source.domain]
         for name, arity in source.signature.relations:
-            if not source.relation(name):
+            if not source.rows[name]:
                 continue
-            rows = [tuple(value_index[c] for c in t) for t in target.relation(name)]
-            table = _Table(rows, arity, len(target.domain))
-            for t in source.relation(name):
-                scope = tuple(self.index[c] for c in t)
+            table = _Table(target.rows[name], arity, len(target.domain))
+            for scope in source.rows[name]:
                 first = {}
                 for p, v in enumerate(scope):
                     first.setdefault(v, p)
@@ -121,12 +129,6 @@ class _Csp:
         self.dom = [(1 << len(target.domain)) - 1] * len(source.domain)
         self.trail = []  # (variable, domain before the change)
         self._queued = bytearray(len(self.cons))
-
-    def undo(self, mark):
-        trail, dom = self.trail, self.dom
-        while len(trail) > mark:
-            v, d = trail.pop()
-            dom[v] = d
 
     def pin(self, var, bit):
         """Restrict var to one value bit and propagate; False on a wipeout."""
@@ -177,19 +179,27 @@ class _Csp:
                             queue.append(cj)
         return True
 
-    def search(self):
-        """Yield each solution as the list of value indices per variable.
+    def search(self, prefix=()):
+        """Yield, per assignment of the prefix variables, its first solution.
 
-        The domains must be arc consistent on entry.  The list is reused
-        between solutions.  Domain changes stay on the trail; a caller that
-        needs the domains back undoes to its own mark.
+        Root propagation runs first.  The distinct variables of prefix are
+        assigned first, in the given order; the rest are picked most
+        constrained first.  A solution is the list of value indices per
+        variable, reused between solutions.  After each solution the search
+        backtracks to the last prefix variable, so with an empty prefix it
+        yields at most one solution and with every variable in the prefix it
+        yields all of them, in lexicographic order.
         """
         dom, trail = self.dom, self.trail
         n = len(dom)
         value = [-1] * n
+        if not self.propagate(range(len(self.cons))):
+            return
         if n == 0:
             yield value
             return
+        order = list(dict.fromkeys(prefix))
+        depth = len(order)
         # lazy heap of (domain size, variable); an entry is live while it
         # matches an unassigned variable's current domain size
         heap = [(d.bit_count(), v) for v, d in enumerate(dom)]
@@ -197,9 +207,13 @@ class _Csp:
 
         def pick():
             nonlocal heap
+            # checked before the prefix too: a search whose prefix is every
+            # variable never pops the heap, only pushes to it
             if len(heap) > 4 * n:
                 heap = [(dom[v].bit_count(), v) for v in range(n) if value[v] < 0]
                 heapq.heapify(heap)
+            if len(stack) < depth:
+                return order[len(stack)]
             while True:
                 size, v = heapq.heappop(heap)
                 if value[v] < 0 and dom[v].bit_count() == size:
@@ -230,17 +244,15 @@ class _Csp:
             for i in range(mark, len(trail)):
                 v = trail[i][0]
                 heapq.heappush(heap, (dom[v].bit_count(), v))
-            if len(stack) == n:
-                yield value
+            if len(stack) < n:
+                var = pick()
+                stack.append([var, dom[var], len(trail)])
                 continue
-            var = pick()
-            stack.append([var, dom[var], len(trail)])
-
-    def solutions(self):
-        """Root propagation, then the search."""
-        if not self.propagate(range(len(self.cons))):
-            return iter(())
-        return self.search()
+            yield value
+            for v, _, _ in stack[depth:]:
+                value[v] = -1
+                heapq.heappush(heap, (dom[v].bit_count(), v))
+            del stack[depth:]
 
     def homomorphism(self, value):
         values = self.values
@@ -252,7 +264,7 @@ class _Csp:
 def find_homomorphism(source, target):
     """First homomorphism in the deterministic search order, or None."""
     csp = _Csp(source, target)
-    for value in csp.solutions():
+    for value in csp.search():
         return csp.homomorphism(value)
     return None
 
@@ -264,13 +276,13 @@ def enumerate_homomorphisms(source, target, cap=None):
     """
     csp = _Csp(source, target)
     results = []
-    for value in csp.solutions():
-        results.append(tuple(value))
+    # every variable in the prefix, in rank order: the solutions come in
+    # canonical order of the mappings
+    for value in csp.search(range(len(source.domain))):
+        results.append(csp.homomorphism(value))
         if cap is not None and len(results) > cap:
             raise EnumerationCapError(f"more than {cap} homomorphisms exist")
-    # value indices follow the canonical order, so this sorts the mappings
-    results.sort()
-    return [csp.homomorphism(value) for value in results]
+    return results
 
 
 def image_set(source, target, guard=DEFAULT_PRODUCT_GUARD):
@@ -281,10 +293,10 @@ def image_set(source, target, guard=DEFAULT_PRODUCT_GUARD):
 def image_witnesses(source, target, guard=DEFAULT_PRODUCT_GUARD):
     """Map from each achievable image tuple to one witnessing homomorphism.
 
-    One arc-consistency pass at the root; the candidate tuples are then
-    walked in lexicographic order as a depth-first search over the pins of
-    the distinguished elements, propagating from each pinned variable, so a
-    prefix that wipes out skips all of its extensions.  More than guard
+    The search takes the distinguished elements as its prefix, so the
+    candidate tuples are walked in lexicographic order of their target
+    ranks, a prefix that wipes out skips all of its extensions, and each
+    achievable tuple is keyed to its first solution.  More than guard
     candidate tuples (|target|^k for k distinguished elements) raise
     GuardExceededError before the search.
     """
@@ -294,39 +306,11 @@ def image_witnesses(source, target, guard=DEFAULT_PRODUCT_GUARD):
             f"image would have {candidates} candidate tuples (guard {guard})", candidates
         )
     csp = _Csp(source.structure, target)
-    out = {}
-    if not csp.propagate(range(len(csp.cons))):
-        return out
-    dist = [csp.index[e] for e in source.distinguished]
-    if not dist:
-        for value in csp.search():
-            out[()] = csp.homomorphism(value)
-            break
-        return out
-    k = len(dist)
-    n_values = len(target.domain)
-    pins = [0] * k  # per level, the next value index to pin
-    marks = [len(csp.trail)] * k  # per level, the trail before its pin
-    level = 0
-    while level >= 0:
-        csp.undo(marks[level])
-        val = pins[level]
-        if val == n_values:
-            level -= 1
-            continue
-        pins[level] = val + 1
-        if not csp.pin(dist[level], 1 << val):
-            continue
-        if level + 1 < k:
-            level += 1
-            pins[level] = 0
-            marks[level] = len(csp.trail)
-            continue
-        for value in csp.search():
-            cand = tuple(target.domain[pins[i] - 1] for i in range(k))
-            out[cand] = csp.homomorphism(value)
-            break
-    return out
+    dist = [source.structure.rank[e] for e in source.distinguished]
+    return {
+        tuple(target.domain[value[v]] for v in dist): csp.homomorphism(value)
+        for value in csp.search(dist)
+    }
 
 
 def decide_php(inst, guard=DEFAULT_PRODUCT_GUARD):

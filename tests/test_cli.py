@@ -360,6 +360,18 @@ def test_cqdef_check_definable(files, tmp_path):
     assert json.loads(r.stdout)["answer"] == "Definable"
 
 
+def test_cqdef_check_isolated_element_is_not_definable(files, tmp_path):
+    # the one-node edgeless digraph: S = {(v)} is all of its image, but a safe
+    # query must put its free variable in an atom, and v lies in no edge
+    rel = tmp_path / "s.json"
+    rel.write_text(json.dumps([["v"]]))
+    argv = ("cqdef", "check", str(files / "vertex.json"), "--relation", str(rel))
+    for extra in ((), ("--witness",)):
+        r = run_cli(*argv, *extra)
+        assert r.returncode == 1
+        assert r.stdout == '{"answer":"NotDefinable","isolated_position":0}\n'
+
+
 def test_cli_byte_identical_across_runs(files, tmp_path):
     q = tmp_path / "q.json"
     q.write_text(

@@ -5,7 +5,8 @@ breaks the schema and a HOMFORGE_GUARD value that is not a positive integer
 must exit 2, every YES of check-hom --witness must carry a map that
 validates against the built product, and every answer of cqdef check
 --witness must carry its certificate: a query that evaluates to exactly S,
-or a map of the pointed product sending the distinguished tuple outside S.
+a map of the pointed product sending the distinguished tuple outside S, or
+the position of a distinguished element that occurs in no tuple.
 Examples are derandomized, so every run checks the same ones.
 """
 
@@ -18,7 +19,7 @@ import re
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homforge import cli
@@ -67,9 +68,9 @@ def _is_valid_row_list(rows):
 MISSING = object()
 
 
-def _replace(path, value):
-    """VALID with the entry at path set to value, or deleted when value is MISSING."""
-    doc = copy.deepcopy(VALID)
+def _replace(path, value, base=VALID):
+    """base with the entry at path set to value, or deleted when value is MISSING."""
+    doc = copy.deepcopy(base)
     node = doc
     for key in path[:-1]:
         node = node[key]
@@ -80,8 +81,8 @@ def _replace(path, value):
     return doc
 
 
-def _at(*path):
-    return lambda value: _replace(path, value)
+def _at(*path, base=VALID):
+    return lambda value: _replace(path, value, base)
 
 
 NOT_AN_OBJECT = JSON.filter(lambda v: not isinstance(v, dict))
@@ -107,6 +108,100 @@ BROKEN_STRUCTURES = st.one_of(
     JSON.filter(lambda v: not _is_valid_row_list(v)).map(_at("relations", "E", "tuples")),
     ROWS.filter(lambda v: not _is_valid_row_list(v)).map(_at("relations", "E", "tuples")),
 )
+
+# the query, tile-system and relation documents below are read against
+# the structure file VALID and the prefix "k"
+VALID_QUERY = {"free": ["x"], "bound": ["y"], "atoms": [["E", ["x", "y"]]]}
+VARIABLES = st.lists(st.sampled_from(["x", "y", "z", ""]), max_size=3)
+
+
+def _is_valid_atom_list(atoms):
+    """True iff atoms are E-atoms over the declared x and y, and x occurs in one."""
+    return (
+        isinstance(atoms, list)
+        and all(
+            isinstance(a, list)
+            and len(a) == 2
+            and a[0] == "E"
+            and _is_string_list(a[1])
+            and len(a[1]) == 2
+            and set(a[1]) <= {"x", "y"}
+            for a in atoms
+        )
+        and any("x" in a[1] for a in atoms)
+    )
+
+
+def _query_at(*path):
+    return _at(*path, base=VALID_QUERY)
+
+
+BROKEN_QUERIES = st.one_of(
+    JSON.filter(lambda v: not (isinstance(v, dict) and {"free", "bound", "atoms"} <= set(v))),
+    st.sampled_from(["free", "bound", "atoms"]).map(lambda key: _query_at(key)(MISSING)),
+    JSON.filter(lambda v: not _is_string_list(v)).map(_query_at("free")),
+    JSON.filter(lambda v: not _is_string_list(v)).map(_query_at("bound")),
+    # free must be x alone (y is bound, z and "" would occur in no atom)
+    VARIABLES.filter(lambda v: set(v) != {"x"}).map(_query_at("free")),
+    # bound must hold y and not the free x
+    VARIABLES.filter(lambda v: "y" not in v or "x" in v).map(_query_at("bound")),
+    JSON.filter(lambda v: not isinstance(v, list)).map(_query_at("atoms")),
+    st.lists(JSON, max_size=2)
+    .filter(lambda v: not _is_valid_atom_list(v))
+    .map(_query_at("atoms")),
+    st.text(max_size=4).filter(lambda v: v != "E").map(_query_at("atoms", 0, 0)),
+    VARIABLES.filter(lambda v: not _is_valid_atom_list([["E", v]])).map(
+        _query_at("atoms", 0, 1)
+    ),
+)
+
+CHECKER_PAIRS = [["k", "w"], ["w", "k"]]
+VALID_TILES = {"tiles": ["k", "w"], "hcompat": CHECKER_PAIRS, "vcompat": CHECKER_PAIRS}
+TILE_ROWS = st.lists(
+    st.lists(st.sampled_from(["k", "w", "z", ""]), max_size=3), min_size=1, max_size=3
+)
+
+
+def _is_valid_pair_list(rows):
+    """True iff rows are pairs of the tiles k and w."""
+    return isinstance(rows, list) and all(
+        _is_string_list(r) and len(r) == 2 and set(r) <= {"k", "w"} for r in rows
+    )
+
+
+def _tiles_at(*path):
+    return _at(*path, base=VALID_TILES)
+
+
+BROKEN_TILE_SYSTEMS = st.one_of(
+    JSON.filter(
+        lambda v: not (isinstance(v, dict) and {"tiles", "hcompat", "vcompat"} <= set(v))
+    ),
+    st.sampled_from(["tiles", "hcompat", "vcompat"]).map(lambda key: _tiles_at(key)(MISSING)),
+    JSON.filter(lambda v: not _is_string_list(v)).map(_tiles_at("tiles")),
+    # the tiles must be distinct and declare k and w
+    st.lists(st.sampled_from(["k", "w", "z"]), max_size=4)
+    .filter(lambda v: len(set(v)) != len(v) or not {"k", "w"} <= set(v))
+    .map(_tiles_at("tiles")),
+    st.sampled_from(["hcompat", "vcompat"]).flatmap(
+        lambda key: st.one_of(JSON, TILE_ROWS)
+        .filter(lambda v: not _is_valid_pair_list(v))
+        .map(_tiles_at(key))
+    ),
+)
+
+
+def _is_valid_relation(rows):
+    """True iff rows are a nonempty list of same-length tuples over the domain of VALID."""
+    return (
+        isinstance(rows, list)
+        and len(rows) > 0
+        and all(_is_string_list(r) and set(r) <= {"a", "b"} for r in rows)
+        and len({len(r) for r in rows}) == 1
+    )
+
+
+BROKEN_RELATIONS = st.one_of(JSON, ROWS).filter(lambda v: not _is_valid_relation(v))
 
 ENV_TEXT = st.text(
     st.characters(exclude_categories=("Cs",), exclude_characters="\x00"), max_size=6
@@ -175,6 +270,47 @@ def test_schema_breaking_structure_exits_2(workdir, doc, as_target):
     assert "error" in payload
 
 
+def _assert_exit_2(argv):
+    code, payload = run_main(argv)
+    assert code == 2, payload
+    assert "error" in payload
+
+
+def _write_json(path, doc):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return str(path)
+
+
+@settings(FUZZ, max_examples=100)
+@given(doc=BROKEN_QUERIES, command=st.sampled_from(["eval", "canonical"]))
+# atoms that are not iterable at all, which the generated examples rarely reach
+@example(doc=_query_at("atoms")(None), command="eval")
+@example(doc=_query_at("atoms")(5), command="canonical")
+def test_schema_breaking_query_exits_2(workdir, doc, command):
+    bad = _write_json(workdir / "bad_query.json", doc)
+    _assert_exit_2(["cq", command, bad, str(workdir / "edge.json")])
+
+
+@settings(FUZZ, max_examples=80)
+@given(doc=BROKEN_TILE_SYSTEMS, reduce=st.booleans())
+def test_schema_breaking_tile_system_exits_2(workdir, doc, reduce):
+    bad = _write_json(workdir / "bad_tiles.json", doc)
+    if reduce:
+        argv = ["reduce", "tiling", "--system", bad, "--prefix", "k"]
+        argv += ["--out-dir", str(workdir / "tiling_out")]
+    else:
+        argv = ["solve-tiling", "--system", bad, "--prefix", "k"]
+    _assert_exit_2(argv)
+
+
+@settings(FUZZ, max_examples=60)
+@given(doc=BROKEN_RELATIONS)
+def test_schema_breaking_relation_exits_2(workdir, doc):
+    bad = _write_json(workdir / "bad_relation.json", doc)
+    _assert_exit_2(["cqdef", "check", str(workdir / "edge.json"), "--relation", bad])
+
+
 @settings(FUZZ, max_examples=60)
 @given(value=NOT_POSITIVE_INTEGERS)
 def test_guard_that_is_not_a_positive_integer_exits_2(workdir, value):
@@ -228,19 +364,21 @@ def test_cqdef_check_witness_certifies_the_answer(workdir, case):
     s_sorted = sorted(s_set, key=helpers.reference_tuple_key)
     pointed = product([g] * len(s_sorted))
     distinguished = [tuple(s[j] for s in s_sorted) for j in range(len(s_rows[0]))]
-    if code == 2:
-        # only when the image is S but the canonical query would leave a
-        # free variable in no atom, which ConjunctiveQuery rejects as unsafe
-        assert "free variables occur in no atom" in payload["error"]
-        used = {c for t in pointed.relation("E") for c in t}
-        assert not set(distinguished) <= used
-        return
+    used = {c for t in pointed.relation("E") for c in t}
     if code == 0:
         assert payload["answer"] == "Definable"
         assert evaluate(query_from_dict(payload["query"]), g) == s_set
         return
     assert code == 1, payload
     assert payload["answer"] == "NotDefinable"
+    if "isolated_position" in payload:
+        # a safe query's free variable occurs in an atom, so its value in
+        # the pointed product must occur in a tuple
+        assert set(payload) == {"answer", "isolated_position"}
+        j = payload["isolated_position"]
+        assert distinguished[j] not in used
+        assert all(d in used for d in distinguished[:j])
+        return
     witness_tuple = tuple(payload["witness_tuple"])
     assert witness_tuple not in s_set
     hom = Homomorphism({_element(k): v for k, v in payload["witness_hom"].items()})

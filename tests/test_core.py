@@ -87,9 +87,16 @@ def test_relations_follow_the_reference_order():
             assert rebuilt.domain == tuple(
                 sorted(domain, key=helpers.reference_element_key)
             )
+            # rank and rows are the same orders as domain indices
+            assert rebuilt.rank == {e: i for i, e in enumerate(rebuilt.domain)}
+            assert rebuilt == s
             for name in s.signature.names():
                 assert rebuilt.relation(name) == tuple(
                     sorted(set(interp[name]), key=helpers.reference_tuple_key)
+                )
+                assert rebuilt.rows[name] == tuple(
+                    tuple(rebuilt.domain.index(c) for c in t)
+                    for t in rebuilt.relation(name)
                 )
 
 

@@ -49,6 +49,20 @@ def test_path_endpoints_not_definable():
     assert verdict.witness_hom.mapping[("a", "c")] == "b"
 
 
+def test_isolated_distinguished_element_is_not_definable():
+    # the image of the pointed product is S, but its distinguished element
+    # (v, v) lies in no edge, so no safe query defines S
+    vertex = digraph(("v",), ())
+    assert decide_cq_definability(vertex, [("v",)]) == NotDefinable(
+        None, None, isolated_position=0
+    )
+    # in the square of a -> b, (a, a) has an edge and (a, b) none, while the
+    # image of ((a, a), (a, b)) is exactly S
+    edge = digraph(("a", "b"), (("a", "b"),))
+    verdict = decide_cq_definability(edge, [("a", "a"), ("a", "b")])
+    assert verdict == NotDefinable(None, None, isolated_position=1)
+
+
 def test_empty_s_rejected():
     with pytest.raises(InvalidStructureError):
         decide_cq_definability(PATH3, [])

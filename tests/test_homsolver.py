@@ -17,6 +17,7 @@ from homforge.homsolver import (
     enumerate_homomorphisms,
     find_homomorphism,
     image_set,
+    image_witnesses,
 )
 
 import helpers
@@ -94,6 +95,47 @@ def test_image_set_no_constraints_is_whole_domain():
         ("b",),
         ("c",),
     }
+
+
+def _check_image_witnesses(src, tgt, dist):
+    """image_witnesses against the exhaustive oracle: keys, key order and witnesses."""
+    witnesses = image_witnesses(PointedStructure(src, dist), tgt)
+    images = {tuple(m[d] for d in dist) for m in helpers.exhaustive_homs(src, tgt)}
+    assert list(witnesses) == sorted(
+        images, key=lambda t: tuple(tgt.domain.index(c) for c in t)
+    )
+    for key, hom in witnesses.items():
+        hom.validate(src, tgt)
+        assert tuple(hom(d) for d in dist) == key
+    return witnesses
+
+
+def test_image_witnesses_match_the_oracle():
+    rng = random.Random(23)
+    for _ in range(60):
+        sig = helpers.random_signature(rng)
+        src = helpers.random_structure(rng, sig, max_dom=4)
+        tgt = helpers.random_structure(rng, sig, max_dom=3)
+        x, y = rng.choice(src.domain), rng.choice(src.domain)
+        for dist in ((), (x,), (x, x), (y, x), (x, y, x)):
+            _check_image_witnesses(src, tgt, dist)
+
+
+def test_image_witnesses_repeated_empty_and_wiped_out():
+    # a repeated element is one variable: its image tuples repeat a value
+    assert set(_check_image_witnesses(PATH3, LOOP, ("a", "a"))) == {("v", "v")}
+    two = digraph(("p", "q"), (("p", "q"), ("q", "p")))
+    src = digraph(("x", "y"), (("x", "y"),))
+    assert list(_check_image_witnesses(src, two, ("x", "x", "y"))) == [
+        ("p", "p", "q"),
+        ("q", "q", "p"),
+    ]
+    # the empty tuple has the one image () when any homomorphism exists
+    assert list(_check_image_witnesses(src, two, ())) == [()]
+    # a loop into a loopless target wipes out at the root: no image at all
+    looped = digraph(("x", "y"), (("x", "x"), ("x", "y")))
+    for dist in ((), ("y",), ("x", "x")):
+        assert _check_image_witnesses(looped, two, dist) == {}
 
 
 def test_decide_php_identity():
