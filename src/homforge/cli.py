@@ -3,7 +3,9 @@
 All machine output is a single JSON document on stdout (pretty-printed with
 --pretty).  Exit codes: 0 = decided YES / Definable, 1 = decided NO /
 NotDefinable, 2 = usage or parse error, 3 = a resource guard was hit,
-4 = internal error (an unexpected exception; its traceback goes to stderr).
+4 = internal error (an unexpected exception, or an answer whose certificate
+fails its check; the traceback goes to stderr).  check-hom validates every
+YES witness and cqdef check every NotDefinable certificate before printing.
 """
 
 import argparse
@@ -23,9 +25,10 @@ from .core import (
     save_structure,
     string_rows,
     structure_to_dict,
+    validate_php_witness,
 )
 from .cq import canonical_structure, evaluate, load_query, query_to_dict
-from .errors import GuardExceededError, HomforgeError, UsageError
+from .errors import CertificateError, GuardExceededError, HomforgeError, UsageError
 from .homsolver import decide_php
 from .tiling import TilingInstance, brute_force_tiling, encode_tiling_php
 
@@ -87,8 +90,10 @@ def cmd_check_hom(args):
     inst = _load_instance(args)
     verdict = decide_php(inst, args.guard)
     payload = {"answer": "YES" if verdict.yes else "NO"}
-    if args.witness and verdict.witness is not None:
-        payload["witness"] = _hom_to_json(verdict.witness)
+    if verdict.yes:
+        validate_php_witness(inst, verdict.witness, args.guard)
+        if args.witness:
+            payload["witness"] = _hom_to_json(verdict.witness)
     return (EXIT_YES if verdict.yes else EXIT_NO), payload
 
 
@@ -177,6 +182,7 @@ def cmd_cqdef_check(args):
             "answer": "Definable",
             "query": query_to_dict(verdict.query),
         }
+    cqdef.validate_not_definable(s, s_tuples, verdict, args.guard)
     if verdict.isolated_position is not None:
         return EXIT_NO, {
             "answer": "NotDefinable",
@@ -277,6 +283,11 @@ def main(argv=None):
         # read once, before any command runs, so every command rejects a bad value
         args.guard = _guard()
         code, payload = args.func(args)
+    except CertificateError as exc:
+        # exits 0 and 1 are checked answers, so one that fails its check is a bug
+        traceback.print_exc()
+        _emit({"error": f"certificate check failed: {exc}"}, args)
+        return EXIT_INTERNAL
     except GuardExceededError as exc:
         _emit({"error": str(exc)}, args)
         return EXIT_GUARD

@@ -10,6 +10,15 @@ ranks in that sorted domain.  That interning is kept on the structure as
 rank (element -> its index in the domain) and rows (relation name -> its
 tuples as rank tuples, in the same order); other modules read these rather
 than sorting elements or building their own index maps.
+
+Structure._canonical is the one way around that work, for output that is
+canonical by construction; product is its only caller.  It sorts, ranks and
+checks nothing, so its caller guarantees the invariants the checking
+constructor would establish: the domain is in element_key order without
+duplicates, and for every relation of the signature rows[name] lists
+distinct rank tuples of the relation's arity in ascending order and
+interp[name] lists the same tuples as elements, in the same order.  Every
+other builder, and every file read, goes through the checking constructor.
 """
 
 import itertools
@@ -116,6 +125,17 @@ class Structure:
             interp[name] = tuple(by_rank[key] for key in rows[name])
         object.__setattr__(self, "interp", interp)
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _canonical(cls, signature, domain, interp, rows):
+        """A Structure from canonical parts, taken as they are (see the module docstring)."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "signature", signature)
+        object.__setattr__(s, "domain", domain)
+        object.__setattr__(s, "interp", interp)
+        object.__setattr__(s, "rank", dict(zip(domain, range(len(domain)))))
+        object.__setattr__(s, "rows", rows)
+        return s
 
     def relation(self, name):
         return self.interp[name]
@@ -224,35 +244,54 @@ def product(factors, guard=DEFAULT_PRODUCT_GUARD):
     """Direct product: domain is the cartesian product, tuples hold componentwise.
 
     Elements are n-tuples of factor elements in factor order.  A hard size
-    guard rejects blowups instead of truncating.
+    guard, on the domain and on each relation's tuples, rejects blowups
+    before anything is enumerated instead of truncating.
+
+    The product is built in rank space.  The n-tuples of the sorted factor
+    domains, last factor fastest, are already in canonical order, so the rank
+    of an element is the mixed-radix number of its factor ranks.  Position p
+    of the row of a combination (t_1, ..., t_n) of factor rows is that
+    number over t_1[p], ..., t_n[p].  Distinct combinations give distinct
+    rows, so a relation needs only a sort of its rank tuples.
     """
     factors = list(factors)
     if not factors:
         raise InvalidStructureError("product of zero factors is undefined")
     sig = _require_shared_signature(factors)
-    domain = tuple(product_domain(factors, guard))
-    interp = {}
-    for name, arity in sig.relations:
-        combos = math.prod(len(f.relation(name)) for f in factors)
+    elements = product_domain(factors, guard)
+    for name in sig.names():
+        combos = math.prod(len(f.rows[name]) for f in factors)
         if combos > guard:
             raise GuardExceededError(
                 f"product relation {name!r} would have {combos} tuples (guard {guard})",
                 combos,
             )
-        tuples = []
-        for combo in itertools.product(*(f.relation(name) for f in factors)):
-            tuples.append(tuple(tuple(t[p] for t in combo) for p in range(arity)))
-        interp[name] = tuple(tuples)
-    return Structure(sig, domain, interp)
+    domain = tuple(elements)
+    interp = {}
+    rows = {}
+    for name, arity in sig.relations:
+        # per position, the ranks over every combination of the factors so
+        # far, in one shared combination order, extended by Horner's rule
+        cols = [[0]] * arity
+        for f in factors:
+            size = len(f.domain)
+            fcols = tuple(zip(*f.rows[name])) or ((),) * arity
+            cols = [[r * size + c for r in col for c in fcol] for col, fcol in zip(cols, fcols)]
+        rows[name] = tuple(sorted(zip(*cols)))
+        interp[name] = tuple(
+            zip(*(map(domain.__getitem__, col) for col in zip(*rows[name])))
+        )
+    return Structure._canonical(sig, domain, interp, rows)
 
 
-def validate_php_witness(inst, hom):
+def validate_php_witness(inst, hom, guard=DEFAULT_PRODUCT_GUARD):
     """Check a PHP witness against the built product, independently of any search.
 
     An invalid map raises NotAHomomorphismError naming the first violation.
+    The product is built under guard, as decide_php builds it.
     """
     try:
-        hom.validate(product(inst.factors), inst.target)
+        hom.validate(product(inst.factors, guard), inst.target)
     except InvalidStructureError as exc:
         raise NotAHomomorphismError(str(exc)) from exc
 

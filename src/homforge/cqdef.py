@@ -22,7 +22,12 @@ from .core import (
     product,
 )
 from .cq import ConjunctiveQuery, canonical_query
-from .errors import InvalidStructureError, SignatureMismatchError
+from .errors import (
+    CertificateError,
+    InvalidStructureError,
+    NotAHomomorphismError,
+    SignatureMismatchError,
+)
 from .homsolver import image_witnesses
 from .normalform import max_path_length, out_path_lengths
 
@@ -91,6 +96,45 @@ def decide_cq_definability(instance, s_tuples, guard=DEFAULT_PRODUCT_GUARD):
         if pointed_product.rank[d] not in used:
             return NotDefinable(None, None, isolated_position=j)
     return Definable(canonical_query(pointed))
+
+
+def validate_not_definable(instance, s_tuples, answer, guard=DEFAULT_PRODUCT_GUARD):
+    """Check a NotDefinable answer for S over instance, independently of the search.
+
+    The pointed product is rebuilt from the instance and S sorted by rank.
+    A witness_hom must map it into the instance and send its distinguished
+    tuple to witness_tuple, which must lie outside S; an isolated_position
+    must name a distinguished element that lies in no tuple.  A failed check
+    raises CertificateError (NotAHomomorphismError for a map that is not a
+    homomorphism).  S is taken as decide_cq_definability accepted it.
+    """
+    rank = instance.rank
+    s_set = {tuple(t) for t in s_tuples}
+    s_sorted = sorted(s_set, key=lambda t: tuple(rank[c] for c in t))
+    pointed = product([instance] * len(s_sorted), guard=guard)
+    distinguished = list(zip(*s_sorted))
+    j = answer.isolated_position
+    if j is not None:
+        if not 0 <= j < len(distinguished):
+            raise CertificateError(f"isolated position {j} is not a position of S")
+        d = distinguished[j]
+        for name, tuples in pointed.interp.items():
+            if any(d in t for t in tuples):
+                raise CertificateError(
+                    f"distinguished element {d!r} lies in a tuple of {name!r}"
+                )
+        return
+    if answer.witness_tuple in s_set:
+        raise CertificateError(f"witness tuple {answer.witness_tuple!r} lies in S")
+    try:
+        answer.witness_hom.validate(pointed, instance)
+    except InvalidStructureError as exc:
+        raise NotAHomomorphismError(str(exc)) from exc
+    image = tuple(answer.witness_hom(d) for d in distinguished)
+    if image != answer.witness_tuple:
+        raise CertificateError(
+            f"the distinguished tuple maps to {image!r}, not {answer.witness_tuple!r}"
+        )
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,12 @@ class EnumerationCapError(HomforgeError):
     """More solutions exist than the configured enumeration cap."""
 
 
-class NotAHomomorphismError(HomforgeError):
-    """A map handed to a lift/restrict operation fails validation."""
+class CertificateError(HomforgeError):
+    """A certificate of an answer fails its independent check."""
+
+
+class NotAHomomorphismError(CertificateError):
+    """A witness map, or a map handed to a lift/restrict operation, fails validation."""
 
 
 class UnsafeQueryError(HomforgeError):

@@ -5,7 +5,15 @@ import sys
 import pytest
 
 from homforge import cli
-from homforge.core import digraph, load_structure, save_structure, serialize
+from homforge.core import (
+    Homomorphism,
+    digraph,
+    load_structure,
+    save_structure,
+    serialize,
+)
+from homforge.cqdef import NotDefinable
+from homforge.homsolver import PhpVerdict
 
 
 def run_cli(*args, env=None):
@@ -220,6 +228,66 @@ def test_internal_error_exit_4(files, monkeypatch, capsys):
     edge = str(files / "edge.json")
     assert cli.main(["check-hom", edge, "--target", edge]) == 4
     assert "crash in a command" in json.loads(capsys.readouterr().out)["error"]
+
+
+def _assert_certificate_failure(code, capsys):
+    assert code == 4
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["error"]
+    assert payload["error"].startswith("certificate check failed")
+
+
+def test_check_hom_invalid_witness_exits_4(files, monkeypatch, capsys):
+    # edge -> edge: the witness is the identity, and (b) -> a sends the edge to (a, a)
+    decide_php = cli.decide_php
+
+    def wrong_witness(inst, guard):
+        verdict = decide_php(inst, guard)
+        mapping = dict(verdict.witness.mapping)
+        assert mapping[("b",)] == "b"
+        mapping[("b",)] = "a"
+        return PhpVerdict(True, Homomorphism(mapping))
+
+    monkeypatch.setattr(cli, "decide_php", wrong_witness)
+    edge = str(files / "edge.json")
+    for extra in ((), ("--witness",)):
+        _assert_certificate_failure(
+            cli.main(["check-hom", edge, "--target", edge, *extra]), capsys
+        )
+
+
+@pytest.mark.parametrize(
+    "corruption", ["tuple in S", "not a homomorphism", "other image", "isolated"]
+)
+def test_cqdef_check_invalid_certificate_exits_4(
+    tmp_path, monkeypatch, capsys, corruption
+):
+    # a -> v -> v: the image of a is {a, v}, so S = {(a)} is not definable and
+    # the certificate maps the pointed copy (a) -> v, (v) -> v
+    structure = tmp_path / "s.json"
+    save_structure(digraph(("a", "v"), (("a", "v"), ("v", "v"))), structure)
+    rel = tmp_path / "rel.json"
+    rel.write_text(json.dumps([["a"]]))
+    decide = cli.cqdef.decide_cq_definability
+
+    def corrupt(instance, s_tuples, guard):
+        verdict = decide(instance, s_tuples, guard)
+        assert verdict.witness_tuple == ("v",)
+        if corruption == "tuple in S":
+            return NotDefinable(("a",), verdict.witness_hom)
+        if corruption == "not a homomorphism":
+            # the edge ((a), (v)) goes to (v, a), which is no edge
+            return NotDefinable(("v",), Homomorphism({("a",): "v", ("v",): "a"}))
+        if corruption == "other image":
+            # still a homomorphism, but it sends the distinguished (a) to a
+            return NotDefinable(("v",), Homomorphism({("a",): "a", ("v",): "v"}))
+        # (a) has an edge, so position 0 is not isolated
+        return NotDefinable(None, None, isolated_position=0)
+
+    monkeypatch.setattr(cli.cqdef, "decide_cq_definability", corrupt)
+    for extra in ((), ("--witness",)):
+        code = cli.main(["cqdef", "check", str(structure), "--relation", str(rel), *extra])
+        _assert_certificate_failure(code, capsys)
 
 
 def test_product_output_reparses(files, tmp_path):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from homforge import core
 from homforge.core import (
     Homomorphism,
     PhpInstance,
@@ -56,6 +57,26 @@ def _nested_element(rng, depth=2):
     return tuple(_nested_element(rng, depth - 1) for _ in range(rng.randint(0, 3)))
 
 
+def _looped(rng, pool):
+    """A binary and a ternary relation over pool, with repeated positions."""
+    return Structure(
+        Signature((("R", 2), ("T", 3))),
+        tuple(pool),
+        {
+            "R": [(x, x) for x in rng.sample(pool, min(2, len(pool)))]
+            + [(rng.choice(pool), rng.choice(pool)) for _ in range(3)],
+            "T": [(x, rng.choice(pool), x) for x in pool[:2]],
+        },
+    )
+
+
+def _small_digraph(rng):
+    """At most two edges on at most two nodes, so eleven factors stay small."""
+    nodes = ("a", "b")[: rng.randint(1, 2)]
+    pairs = [(x, y) for x in nodes for y in nodes]
+    return digraph(nodes, rng.sample(pairs, rng.randint(0, min(2, len(pairs)))))
+
+
 def test_relations_follow_the_reference_order():
     rng = random.Random(20121215)
     for _ in range(40):
@@ -68,9 +89,19 @@ def test_relations_follow_the_reference_order():
             tuple(pool),
             {"R": [(rng.choice(pool), rng.choice(pool)) for _ in range(8)]},
         )
+        looped = _looped(rng, pool)
+        empty = Structure(looped.signature, (), {})
+        products = [
+            prod,  # tuples
+            product([a]),  # one factor: 1-tuples
+            product([_small_digraph(rng) for _ in range(11)]),  # eleven factors
+            product([looped, empty]),  # an empty factor domain
+            product([looped, _looped(rng, ["b", "a", ("a",)])]),  # loops
+            product([nested, nested]),  # nested elements
+        ]
         samples = [
             a,  # strings
-            prod,  # tuples
+            *products,
             star_transform(prod),  # strings and tuples
             gadget_digraph(pad_first_coordinate(nested), with_sinks=True),
             nested,  # nested tuples of mixed lengths, strings and tuples inside
@@ -84,6 +115,10 @@ def test_relations_follow_the_reference_order():
                 rng.shuffle(tuples)
                 interp[name] = tuples + tuples[:2]
             rebuilt = Structure(s.signature, tuple(domain), interp)
+            # a product, built without the checking constructor, has the
+            # rank and rows that constructor gives
+            assert rebuilt.rank == s.rank
+            assert rebuilt.rows == s.rows
             assert rebuilt.domain == tuple(
                 sorted(domain, key=helpers.reference_element_key)
             )
@@ -130,6 +165,33 @@ def test_product_guard_reports_cardinality():
     with pytest.raises(GuardExceededError) as exc:
         product([big, big], guard=50)
     assert exc.value.cardinality == 100
+
+
+def test_product_relation_guard_fires_before_the_domain_is_enumerated(monkeypatch):
+    # the complete looped digraph on 4 nodes: its square has 16 elements, 256 edges
+    nodes = ("a", "b", "c", "d")
+    complete = digraph(nodes, [(x, y) for x in nodes for y in nodes])
+    enumerated = []
+    real = core.product_domain
+
+    def spy(factors, guard):
+        elements = real(factors, guard)
+
+        def consume():
+            enumerated.append(True)
+            yield from elements
+
+        return consume()
+
+    monkeypatch.setattr(core, "product_domain", spy)
+    assert len(product([complete, complete], guard=256).domain) == 16
+    assert enumerated  # the spy sees an enumeration when the guard passes
+    enumerated.clear()
+    with pytest.raises(GuardExceededError) as exc:
+        product([complete, complete], guard=100)
+    assert exc.value.cardinality == 256
+    assert "'E'" in str(exc.value)
+    assert not enumerated
 
 
 def test_projections_are_homomorphisms():

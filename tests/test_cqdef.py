@@ -11,6 +11,7 @@ from homforge.cqdef import (
     audit_apex_paths,
     decide_cq_definability,
     reduce_php_to_nondefinability,
+    validate_not_definable,
 )
 from homforge.errors import (
     GuardExceededError,
@@ -56,11 +57,13 @@ def test_isolated_distinguished_element_is_not_definable():
     assert decide_cq_definability(vertex, [("v",)]) == NotDefinable(
         None, None, isolated_position=0
     )
+    validate_not_definable(vertex, [("v",)], NotDefinable(None, None, 0))
     # in the square of a -> b, (a, a) has an edge and (a, b) none, while the
     # image of ((a, a), (a, b)) is exactly S
     edge = digraph(("a", "b"), (("a", "b"),))
     verdict = decide_cq_definability(edge, [("a", "a"), ("a", "b")])
     assert verdict == NotDefinable(None, None, isolated_position=1)
+    validate_not_definable(edge, [("a", "a"), ("a", "b")], verdict)
 
 
 def test_empty_s_rejected():
@@ -122,6 +125,7 @@ def test_witness_tuple_is_the_least_image_outside_s():
         verdict = decide_cq_definability(s, s_rows)
         assert isinstance(verdict, NotDefinable)
         assert verdict.witness_tuple == min(outside, key=helpers.reference_tuple_key)
+        validate_not_definable(s, s_rows, verdict)
         checked += 1
     assert checked >= 10
 
