@@ -6,9 +6,13 @@ NotDefinable, 2 = usage or parse error, 3 = a resource guard was hit,
 4 = internal error (an unexpected exception, or an answer whose certificate
 fails its check; the traceback goes to stderr).  check-hom validates every
 YES witness and cqdef check every NotDefinable certificate before printing.
+A call registers only the parser of the command it names (see build_parser),
+with help and errors unchanged; files are written by core, byte-identical to
+json.dumps(..., sort_keys=True, indent=2).
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -22,6 +26,7 @@ from .core import (
     load_json,
     load_structure,
     product,
+    save_rows,
     save_structure,
     string_rows,
     structure_to_dict,
@@ -60,6 +65,7 @@ def _emit(payload, args):
     else:
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     sys.stdout.write(text + "\n")
+    sys.stdout.flush()
 
 
 def _hom_to_json(hom):
@@ -68,21 +74,15 @@ def _hom_to_json(hom):
 
 
 def _load_instance(args):
-    factors = tuple(load_structure(p) for p in args.factors)
-    target = load_structure(args.target)
-    return PhpInstance(factors, target)
+    return PhpInstance(tuple(map(load_structure, args.factors)), load_structure(args.target))
 
 
 def _write_instance(inst, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    files = []
-    for i, f in enumerate(inst.factors, start=1):
-        path = os.path.join(out_dir, f"factor_{i}.json")
-        save_structure(f, path)
-        files.append(path)
-    path = os.path.join(out_dir, "target.json")
-    save_structure(inst.target, path)
-    files.append(path)
+    names = [f"factor_{i}.json" for i in range(1, len(inst.factors) + 1)] + ["target.json"]
+    files = [os.path.join(out_dir, name) for name in names]
+    for s, path in zip((*inst.factors, inst.target), files):
+        save_structure(s, path)
     return files
 
 
@@ -107,8 +107,7 @@ def cmd_product(args):
 
 
 def _tiling_instance(args):
-    system = tiling.load_tile_system(args.system)
-    return TilingInstance(system, tuple(args.prefix))
+    return TilingInstance(tiling.load_tile_system(args.system), tuple(args.prefix))
 
 
 def cmd_reduce_tiling(args):
@@ -148,10 +147,7 @@ def cmd_reduce_php_to_cqdef(args):
     structure_path = os.path.join(args.out_dir, "instance.json")
     relation_path = os.path.join(args.out_dir, "relation.json")
     save_structure(red.structure, structure_path)
-    s_json = [[element_label(c) for c in t] for t in red.s_tuples]
-    with open(relation_path, "w", encoding="utf-8") as fh:
-        json.dump(s_json, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    save_rows(red.s_tuples, relation_path)
     return EXIT_YES, {"files": [structure_path, relation_path]}
 
 
@@ -197,110 +193,114 @@ def cmd_cqdef_check(args):
     return EXIT_NO, payload
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="homforge",
-        description="Product homomorphism problem toolkit",
-    )
+_REQUIRED = {"required": True}
+_PHP_OUT = (("factors", {"nargs": "+"}), ("--target", _REQUIRED), ("--out-dir", _REQUIRED))
+
+# path -> (help, arguments, function name, resolved when built) for a command,
+# or (help, dest) for a group, whose children are the paths one word longer
+COMMANDS = {
+    (): ("Product homomorphism problem toolkit", "command"),
+    ("check-hom",): ("decide a PHP instance", (
+        ("factors", {"nargs": "+", "help": "factor structure files"}),
+        ("--target", {"required": True, "help": "target structure file"}),
+        ("--witness", {"action": "store_true", "help": "emit the witness map"}),
+    ), "cmd_check_hom"),
+    ("product",): ("materialize a direct product", (
+        ("factors", {"nargs": "+"}), ("--out", {"help": "write the product to this file"})
+    ), "cmd_product"),
+    ("solve-tiling",): ("brute-force tiling oracle", (
+        ("--system", {"required": True, "help": "tile system file"}),
+        ("--prefix", {"nargs": "+", "required": True, "help": "first-row prefix tiles"}),
+    ), "cmd_solve_tiling"),
+    ("reduce",): ("run a reduction", "reduction"),
+    ("reduce", "tiling"): ("tiling instance to PHP over {0,1}", (
+        ("--system", _REQUIRED), ("--prefix", {"nargs": "+", "required": True}),
+        ("--mode", {"choices": tiling.MODES, "default": "exact"}), ("--out-dir", _REQUIRED),
+    ), "cmd_reduce_tiling"),
+    ("reduce", "single-rel"): ("collapse to a single relation", _PHP_OUT, "cmd_reduce_single_rel"),
+    ("reduce", "digraph"): ("single-relation PHP to digraph PHP", _PHP_OUT, "cmd_reduce_digraph"),
+    ("reduce", "php-to-cqdef"): (
+        "digraph PHP to a CQ-definability instance", _PHP_OUT, "cmd_reduce_php_to_cqdef"
+    ),
+    ("cq",): ("conjunctive query operations", "cq_command"),
+    ("cq", "eval"): (
+        "evaluate a query on a structure", (("query", {}), ("structure", {})), "cmd_cq_eval"
+    ),
+    ("cq", "canonical"): ("canonical structure of a query", (
+        ("query", {}), ("structure", {"help": "structure file supplying the signature"})
+    ), "cmd_cq_canonical"),
+    ("cqdef",): ("CQ-definability operations", "cqdef_command"),
+    ("cqdef", "check"): ("decide definability of a relation", (
+        ("structure", {}), ("--relation", {"required": True, "help": "JSON array of tuples"}),
+        ("--witness", {"action": "store_true"}),
+    ), "cmd_cqdef_check"),
+}
+
+
+def build_parser(argv=None):
+    """The full parser, or, given argv, one that registers only the commands argv names.
+
+    Past leading --pretty tokens, each token that names a child registers it
+    alone; from the first that names none, every child below is registered.
+    """
+    parser = argparse.ArgumentParser(prog="homforge", description=COMMANDS[()][0])
     parser.add_argument("--pretty", action="store_true", help="indent JSON output")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check-hom", help="decide a PHP instance")
-    p.add_argument("factors", nargs="+", help="factor structure files")
-    p.add_argument("--target", required=True, help="target structure file")
-    p.add_argument("--witness", action="store_true", help="emit the witness map")
-    p.set_defaults(func=cmd_check_hom)
-
-    p = sub.add_parser("product", help="materialize a direct product")
-    p.add_argument("factors", nargs="+")
-    p.add_argument("--out", help="write the product to this file")
-    p.set_defaults(func=cmd_product)
-
-    p = sub.add_parser("solve-tiling", help="brute-force tiling oracle")
-    p.add_argument("--system", required=True, help="tile system file")
-    p.add_argument("--prefix", nargs="+", required=True, help="first-row prefix tiles")
-    p.set_defaults(func=cmd_solve_tiling)
-
-    reduce_p = sub.add_parser("reduce", help="run a reduction")
-    reduce_sub = reduce_p.add_subparsers(dest="reduction", required=True)
-
-    p = reduce_sub.add_parser("tiling", help="tiling instance to PHP over {0,1}")
-    p.add_argument("--system", required=True)
-    p.add_argument("--prefix", nargs="+", required=True)
-    p.add_argument("--mode", choices=list(tiling.MODES), default="exact")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_reduce_tiling)
-
-    p = reduce_sub.add_parser("single-rel", help="collapse to a single relation")
-    p.add_argument("factors", nargs="+")
-    p.add_argument("--target", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_reduce_single_rel)
-
-    p = reduce_sub.add_parser("digraph", help="single-relation PHP to digraph PHP")
-    p.add_argument("factors", nargs="+")
-    p.add_argument("--target", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_reduce_digraph)
-
-    p = reduce_sub.add_parser(
-        "php-to-cqdef", help="digraph PHP to a CQ-definability instance"
-    )
-    p.add_argument("factors", nargs="+")
-    p.add_argument("--target", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_reduce_php_to_cqdef)
-
-    cq_p = sub.add_parser("cq", help="conjunctive query operations")
-    cq_sub = cq_p.add_subparsers(dest="cq_command", required=True)
-
-    p = cq_sub.add_parser("eval", help="evaluate a query on a structure")
-    p.add_argument("query")
-    p.add_argument("structure")
-    p.set_defaults(func=cmd_cq_eval)
-
-    p = cq_sub.add_parser("canonical", help="canonical structure of a query")
-    p.add_argument("query")
-    p.add_argument("structure", help="structure file supplying the signature")
-    p.set_defaults(func=cmd_cq_canonical)
-
-    cqdef_p = sub.add_parser("cqdef", help="CQ-definability operations")
-    cqdef_sub = cqdef_p.add_subparsers(dest="cqdef_command", required=True)
-
-    p = cqdef_sub.add_parser("check", help="decide definability of a relation")
-    p.add_argument("structure")
-    p.add_argument("--relation", required=True, help="JSON array of tuples")
-    p.add_argument("--witness", action="store_true")
-    p.set_defaults(func=cmd_cqdef_check)
-
+    words = None if argv is None else list(itertools.dropwhile(lambda w: w == "--pretty", argv))
+    _add_children(parser, (), words)
     return parser
 
 
+def _add_children(parser, path, words):
+    names = [p[-1] for p in COMMANDS if p and p[:-1] == path]
+    one = bool(words) and words[0] in names
+    # with one child registered, the full choice list keeps the usage line
+    metavar = "{" + ",".join(names) + "}" if one else None
+    sub = parser.add_subparsers(dest=COMMANDS[path][1], required=True, metavar=metavar)
+    for name in words[:1] if one else names:
+        entry = COMMANDS[path + (name,)]
+        child = sub.add_parser(name, help=entry[0])
+        if len(entry) == 2:
+            _add_children(child, path + (name,), words[1:] if one else None)
+            continue
+        for flag, options in entry[1]:
+            child.add_argument(flag, **options)
+        child.set_defaults(func=globals()[entry[2]])
+
+
+def _report(message, args, code):
+    """Emit an error payload and return code, dropping it when stdout itself fails."""
+    try:
+        _emit({"error": message}, args)
+    except OSError:
+        # point stdout at os.devnull, so the flush at shutdown cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         # read once, before any command runs, so every command rejects a bad value
         args.guard = _guard()
         code, payload = args.func(args)
+        _emit(payload, args)
+        return code
     except CertificateError as exc:
         # exits 0 and 1 are checked answers, so one that fails its check is a bug
         traceback.print_exc()
-        _emit({"error": f"certificate check failed: {exc}"}, args)
-        return EXIT_INTERNAL
+        return _report(f"certificate check failed: {exc}", args, EXIT_INTERNAL)
     except GuardExceededError as exc:
-        _emit({"error": str(exc)}, args)
-        return EXIT_GUARD
+        return _report(str(exc), args, EXIT_GUARD)
     except (HomforgeError, OSError) as exc:
-        _emit({"error": str(exc)}, args)
-        return EXIT_USAGE
+        # OSError includes a failed write of the answer to stdout
+        return _report(str(exc), args, EXIT_USAGE)
     except Exception as exc:
         # exits 0 and 1 are decided answers, so a crash must not exit 1
         traceback.print_exc()
-        _emit({"error": f"internal error: {type(exc).__name__}: {exc}"}, args)
-        return EXIT_INTERNAL
-    _emit(payload, args)
-    return code
+        return _report(f"internal error: {type(exc).__name__}: {exc}", args, EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

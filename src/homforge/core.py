@@ -19,6 +19,11 @@ duplicates, and for every relation of the signature rows[name] lists
 distinct rank tuples of the relation's arity in ascending order and
 interp[name] lists the same tuples as elements, in the same order.  Every
 other builder, and every file read, goes through the checking constructor.
+
+Files are written as json.dumps(..., sort_keys=True, indent=2) writes them,
+byte for byte, but the text is joined here from the C string encoder that
+json.dumps itself uses (json's indenting encoder is pure Python), and each
+domain element is labelled once.
 """
 
 import itertools
@@ -35,6 +40,9 @@ from .errors import (
 
 DEFAULT_PRODUCT_GUARD = 10**6
 
+# the C function json.dumps quotes every string with (ensure_ascii, the default)
+_quote = json.encoder.encode_basestring_ascii
+
 
 def element_key(e):
     """Total order on elements: plain strings before tuples, recursively."""
@@ -44,10 +52,14 @@ def element_key(e):
 
 
 def element_label(e):
-    """Canonical string form of an element, for serialization and CLI output."""
+    """Canonical string form of an element, for serialization and CLI output.
+
+    A string is its own label; a tuple's is its compact JSON text, the bytes
+    of json.dumps(e, separators=(",", ":")).
+    """
     if isinstance(e, str):
         return e
-    return json.dumps(e, separators=(",", ":"))
+    return "[" + ",".join([_quote(c) if isinstance(c, str) else element_label(c) for c in e]) + "]"
 
 
 @dataclass(frozen=True)
@@ -342,21 +354,46 @@ def binarize_unary(s):
 
 
 def structure_to_dict(s):
+    labels = [element_label(e) for e in s.domain]
     return {
-        "domain": [element_label(e) for e in s.domain],
+        "domain": labels,
         "relations": {
             name: {
-                "arity": s.signature.arity(name),
-                "tuples": [[element_label(c) for c in t] for t in s.relation(name)],
+                "arity": arity,
+                "tuples": [[labels[r] for r in row] for row in s.rows[name]],
             }
-            for name in sorted(s.signature.names())
+            for name, arity in sorted(s.signature.relations)
         },
     }
 
 
+def _block(items, indent, brackets="[]"):
+    """JSON text of an array (or object) of encoded items, as indent=2 lays it out at indent."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * (indent + 2)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * indent + brackets[1]
+
+
+def _rows(rows, indent):
+    """JSON text of an array of arrays of encoded labels, as indent=2 lays it out at indent."""
+    return _block([_block(row, indent + 2) for row in rows], indent)
+
+
 def serialize(s):
-    """Canonical JSON text for a structure (stable byte-for-byte)."""
-    return json.dumps(structure_to_dict(s), sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text for a structure (stable byte-for-byte).
+
+    The text is json.dumps(structure_to_dict(s), sort_keys=True, indent=2)
+    plus a newline, byte for byte.
+    """
+    labels = [_quote(element_label(e)) for e in s.domain]
+    relations = []
+    for name, arity in sorted(s.signature.relations):
+        tuples = _rows([[labels[r] for r in row] for row in s.rows[name]], 6)
+        relation = _block([f'"arity": {arity}', f'"tuples": {tuples}'], 4, "{}")
+        relations.append(f"{_quote(name)}: {relation}")
+    fields = ['"domain": ' + _block(labels, 2), '"relations": ' + _block(relations, 2, "{}")]
+    return _block(fields, 0, "{}") + "\n"
 
 
 def string_list(value, what):
@@ -430,3 +467,14 @@ def load_structure(path):
 def save_structure(s, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize(s))
+
+
+def save_rows(rows, path):
+    """Write tuples of elements as the relation file: an indented JSON array of label arrays.
+
+    The text is json.dumps(rows as lists of labels, indent=2) plus a newline,
+    byte for byte.
+    """
+    text = _rows([[_quote(element_label(c)) for c in t] for t in rows], 0)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")

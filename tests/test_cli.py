@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -76,6 +77,20 @@ def test_check_hom_witness_validates(files):
 def test_missing_file_is_usage_error(files):
     r = run_cli("check-hom", str(files / "nope.json"), "--target", str(files / "edge.json"))
     assert r.returncode == 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("answer", ["YES", "NO", "error"])
+def test_failed_stdout_write_is_not_an_answer(files, answer):
+    # writes to /dev/full fail with ENOSPC: the answer never reaches stdout
+    edge, target = str(files / "edge.json"), {"YES": "loop", "NO": "vertex", "error": "nope"}
+    argv = ["check-hom", edge, edge, "--target", str(files / f"{target[answer]}.json")]
+    with open("/dev/full", "w") as full:
+        cmd = [sys.executable, "-m", "homforge.cli", *argv]
+        r = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert r.returncode == 2  # a usage-class failure, never the answers 0 or 1
+    # neither the error report nor the flush at shutdown raised again
+    assert r.stderr == ""
 
 
 def test_bad_arguments_exit_2():
