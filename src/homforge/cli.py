@@ -64,6 +64,8 @@ def _emit(payload, args):
         text = json.dumps(payload, sort_keys=True, indent=2)
     else:
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    if sys.stdout is None:  # Python's value when fd 1 is closed at start-up
+        raise OSError("stdout is closed")
     sys.stdout.write(text + "\n")
     sys.stdout.flush()
 
@@ -272,10 +274,11 @@ def _report(message, args, code):
     try:
         _emit({"error": message}, args)
     except OSError:
-        # point stdout at os.devnull, so the flush at shutdown cannot fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        if sys.stdout is not None:
+            # point stdout at os.devnull, so the flush at shutdown cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return code
 
 

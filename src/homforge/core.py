@@ -8,16 +8,17 @@ domain is sorted with element_key (strings before tuples, recursively), and
 each relation lists its tuples in lexicographic order of their components'
 ranks in that sorted domain.  That interning is kept on the structure as
 rank (element -> its index in the domain) and rows (relation name -> its
-tuples as rank tuples, in the same order); other modules read these rather
-than sorting elements or building their own index maps.
+tuples as rank tuples, in that order).  Rows are the only stored form of a
+relation: relation(name) reads its element tuples off them on each call.
+Other modules read rank and rows rather than sorting elements or building
+their own index maps.
 
 Structure._canonical is the one way around that work, for output that is
 canonical by construction; product is its only caller.  It sorts, ranks and
 checks nothing, so its caller guarantees the invariants the checking
 constructor would establish: the domain is in element_key order without
 duplicates, and for every relation of the signature rows[name] lists
-distinct rank tuples of the relation's arity in ascending order and
-interp[name] lists the same tuples as elements, in the same order.  Every
+distinct rank tuples of the relation's arity in ascending order.  Every
 other builder, and every file read, goes through the checking constructor.
 
 Files are written as json.dumps(..., sort_keys=True, indent=2) writes them,
@@ -95,33 +96,33 @@ class Signature:
         return self.as_dict() == other.as_dict()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Structure:
-    """A finite relational structure with canonically sorted domain and relations."""
+    """A finite relational structure with canonically sorted domain and relations.
+
+    Built as Structure(signature, domain, interp), where interp maps relation
+    names to tuples of elements; the tuples are checked and kept as rows.
+    """
 
     signature: Signature
     domain: tuple
-    interp: dict
+    rows: dict
     rank: dict = field(init=False, compare=False, repr=False)
-    rows: dict = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        dom = tuple(sorted(self.domain, key=element_key))
+    def __init__(self, signature, domain, interp):
+        dom = tuple(sorted(domain, key=element_key))
         for a, b in zip(dom, dom[1:]):
             if a == b:
                 raise InvalidStructureError(f"duplicate domain element {a!r}")
-        object.__setattr__(self, "domain", dom)
         rank = {e: i for i, e in enumerate(dom)}
-        object.__setattr__(self, "rank", rank)
-        unknown = set(self.interp) - set(self.signature.names())
+        unknown = set(interp) - set(signature.names())
         if unknown:
             raise InvalidStructureError(f"relations not in signature: {sorted(unknown)}")
-        interp = {}
         rows = {}
-        for name, arity in self.signature.relations:
+        for name, arity in signature.relations:
             # checked in input order, so the first bad tuple reported is fixed
-            by_rank = {}
-            for t in self.interp.get(name, ()):
+            keys = set()
+            for t in interp.get(name, ()):
                 t = tuple(t)
                 if len(t) != arity:
                     raise InvalidStructureError(
@@ -132,28 +133,26 @@ class Structure:
                         raise InvalidStructureError(
                             f"tuple {t!r} in {name!r} uses unknown element {c!r}"
                         )
-                by_rank[tuple(rank[c] for c in t)] = t
-            rows[name] = tuple(sorted(by_rank))
-            interp[name] = tuple(by_rank[key] for key in rows[name])
-        object.__setattr__(self, "interp", interp)
-        object.__setattr__(self, "rows", rows)
+                keys.add(tuple(rank[c] for c in t))
+            rows[name] = tuple(sorted(keys))
+        # the instance is frozen, so its fields are set past __setattr__
+        vars(self).update(signature=signature, domain=dom, rows=rows, rank=rank)
 
     @classmethod
-    def _canonical(cls, signature, domain, interp, rows):
+    def _canonical(cls, signature, domain, rows):
         """A Structure from canonical parts, taken as they are (see the module docstring)."""
         s = object.__new__(cls)
-        object.__setattr__(s, "signature", signature)
-        object.__setattr__(s, "domain", domain)
-        object.__setattr__(s, "interp", interp)
-        object.__setattr__(s, "rank", dict(zip(domain, range(len(domain)))))
-        object.__setattr__(s, "rows", rows)
+        rank = dict(zip(domain, range(len(domain))))
+        vars(s).update(signature=signature, domain=domain, rows=rows, rank=rank)
         return s
 
     def relation(self, name):
-        return self.interp[name]
+        """The tuples of a relation as element tuples, in canonical order."""
+        cols = zip(*self.rows[name])
+        return tuple(zip(*(map(self.domain.__getitem__, col) for col in cols)))
 
     def tuple_count(self):
-        return sum(len(ts) for ts in self.interp.values())
+        return sum(len(rows) for rows in self.rows.values())
 
 
 @dataclass(frozen=True)
@@ -198,25 +197,31 @@ class Homomorphism:
     def is_valid(self, source, target):
         try:
             self.validate(source, target)
-        except InvalidStructureError:
+        except NotAHomomorphismError:
             return False
         return True
 
     def validate(self, source, target):
-        """Raise InvalidStructureError describing the first violation found."""
+        """Raise NotAHomomorphismError describing the first violation found.
+
+        The check runs in rank space: each source element's image is taken
+        as its target rank, and each source row must map to a target row.
+        """
+        images = []
         for e in source.domain:
             if e not in self.mapping:
-                raise InvalidStructureError(f"element {e!r} is unmapped")
-            if self.mapping[e] not in target.rank:
-                raise InvalidStructureError(
-                    f"{e!r} maps to {self.mapping[e]!r}, not a target element"
-                )
+                raise NotAHomomorphismError(f"element {e!r} is unmapped")
+            v = self.mapping[e]
+            if v not in target.rank:
+                raise NotAHomomorphismError(f"{e!r} maps to {v!r}, not a target element")
+            images.append(target.rank[v])
         for name, _ in source.signature.relations:
-            ttuples = set(target.relation(name))
-            for t in source.relation(name):
-                image = tuple(self.mapping[c] for c in t)
-                if image not in ttuples:
-                    raise InvalidStructureError(
+            trows = set(target.rows[name])
+            for row in source.rows[name]:
+                if tuple(map(images.__getitem__, row)) not in trows:
+                    t = tuple(map(source.domain.__getitem__, row))
+                    image = tuple(self.mapping[c] for c in t)
+                    raise NotAHomomorphismError(
                         f"tuple {t!r} of {name!r} maps to {image!r}, missing in target"
                     )
 
@@ -279,7 +284,6 @@ def product(factors, guard=DEFAULT_PRODUCT_GUARD):
                 combos,
             )
     domain = tuple(elements)
-    interp = {}
     rows = {}
     for name, arity in sig.relations:
         # per position, the ranks over every combination of the factors so
@@ -290,10 +294,7 @@ def product(factors, guard=DEFAULT_PRODUCT_GUARD):
             fcols = tuple(zip(*f.rows[name])) or ((),) * arity
             cols = [[r * size + c for r in col for c in fcol] for col, fcol in zip(cols, fcols)]
         rows[name] = tuple(sorted(zip(*cols)))
-        interp[name] = tuple(
-            zip(*(map(domain.__getitem__, col) for col in zip(*rows[name])))
-        )
-    return Structure._canonical(sig, domain, interp, rows)
+    return Structure._canonical(sig, domain, rows)
 
 
 def validate_php_witness(inst, hom, guard=DEFAULT_PRODUCT_GUARD):
@@ -302,10 +303,7 @@ def validate_php_witness(inst, hom, guard=DEFAULT_PRODUCT_GUARD):
     An invalid map raises NotAHomomorphismError naming the first violation.
     The product is built under guard, as decide_php builds it.
     """
-    try:
-        hom.validate(product(inst.factors, guard), inst.target)
-    except InvalidStructureError as exc:
-        raise NotAHomomorphismError(str(exc)) from exc
+    hom.validate(product(inst.factors, guard), inst.target)
 
 
 def projection(product_structure, i):

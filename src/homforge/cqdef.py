@@ -25,7 +25,6 @@ from .cq import ConjunctiveQuery, canonical_query
 from .errors import (
     CertificateError,
     InvalidStructureError,
-    NotAHomomorphismError,
     SignatureMismatchError,
 )
 from .homsolver import image_witnesses
@@ -51,6 +50,29 @@ class NotDefinable:
     isolated_position: int | None = None
 
 
+def _pointed_product(instance, s_tuples, guard):
+    """S as a set, and the product of the pointed copies (instance, s) for s in S.
+
+    S is checked in input order, so the first bad tuple reported is fixed,
+    then deduplicated and sorted by the instance's domain ranks, which fixes
+    the factor order and so the distinguished tuple.
+    """
+    rank = instance.rank
+    s_tuples = [tuple(t) for t in s_tuples]
+    if not s_tuples:
+        raise InvalidStructureError("S must be nonempty")
+    k = len(s_tuples[0])
+    for t in s_tuples:
+        if len(t) != k:
+            raise InvalidStructureError("all tuples of S must have the same length")
+        if not all(c in rank for c in t):
+            raise InvalidStructureError(f"tuple {t!r} uses elements outside the domain")
+    s_set = set(s_tuples)
+    s_sorted = sorted(s_set, key=lambda t: tuple(rank[c] for c in t))
+    pointed_product = product([instance] * len(s_sorted), guard=guard)
+    return s_set, PointedStructure(pointed_product, tuple(zip(*s_sorted)))
+
+
 def decide_cq_definability(instance, s_tuples, guard=DEFAULT_PRODUCT_GUARD):
     """Decide whether some conjunctive query q has q(instance) = s_tuples.
 
@@ -63,36 +85,15 @@ def decide_cq_definability(instance, s_tuples, guard=DEFAULT_PRODUCT_GUARD):
     guard elements or tuples per relation, or more than guard candidate
     image tuples, raises GuardExceededError.
     """
-    rank = instance.rank
-
-    def key(t):
-        return tuple(rank[c] for c in t)
-
-    s_tuples = [tuple(t) for t in s_tuples]
-    if not s_tuples:
-        raise InvalidStructureError("S must be nonempty")
-    k = len(s_tuples[0])
-    for t in s_tuples:  # in input order, so the first bad tuple reported is fixed
-        if len(t) != k:
-            raise InvalidStructureError("all tuples of S must have the same length")
-        if not all(c in rank for c in t):
-            raise InvalidStructureError(f"tuple {t!r} uses elements outside the domain")
-    s_set = set(s_tuples)
-    s_tuples = sorted(s_set, key=key)
-
-    pointed_product = product([instance] * len(s_tuples), guard=guard)
-    distinguished = tuple(
-        tuple(s[j] for s in s_tuples) for j in range(k)
-    )
-    pointed = PointedStructure(pointed_product, distinguished)
-    witnesses = image_witnesses(pointed, instance, guard=guard)
-    outside = [t for t in witnesses if t not in s_set]
-    if outside:
-        least = min(outside, key=key)
-        return NotDefinable(least, witnesses[least])
+    s_set, pointed = _pointed_product(instance, s_tuples, guard)
+    # image_witnesses lists the images in lexicographic order of their ranks
+    for image, hom in image_witnesses(pointed, instance, guard=guard).items():
+        if image not in s_set:
+            return NotDefinable(image, hom)
     # image always contains S (projection homomorphisms), so image == S here
+    pointed_product = pointed.structure
     used = {v for rows in pointed_product.rows.values() for row in rows for v in row}
-    for j, d in enumerate(distinguished):
+    for j, d in enumerate(pointed.distinguished):
         if pointed_product.rank[d] not in used:
             return NotDefinable(None, None, isolated_position=j)
     return Definable(canonical_query(pointed))
@@ -101,35 +102,31 @@ def decide_cq_definability(instance, s_tuples, guard=DEFAULT_PRODUCT_GUARD):
 def validate_not_definable(instance, s_tuples, answer, guard=DEFAULT_PRODUCT_GUARD):
     """Check a NotDefinable answer for S over instance, independently of the search.
 
-    The pointed product is rebuilt from the instance and S sorted by rank.
-    A witness_hom must map it into the instance and send its distinguished
-    tuple to witness_tuple, which must lie outside S; an isolated_position
-    must name a distinguished element that lies in no tuple.  A failed check
-    raises CertificateError (NotAHomomorphismError for a map that is not a
-    homomorphism).  S is taken as decide_cq_definability accepted it.
+    S is checked as decide_cq_definability checks it, and a bad S raises the
+    same InvalidStructureError.  The pointed product is rebuilt from the
+    instance and S sorted by rank.  A witness_hom must map it into the
+    instance and send its distinguished tuple to witness_tuple, which must
+    lie outside S; an isolated_position must name a distinguished element
+    that lies in no tuple.  A failed check raises CertificateError
+    (NotAHomomorphismError for a map that is not a homomorphism).
     """
-    rank = instance.rank
-    s_set = {tuple(t) for t in s_tuples}
-    s_sorted = sorted(s_set, key=lambda t: tuple(rank[c] for c in t))
-    pointed = product([instance] * len(s_sorted), guard=guard)
-    distinguished = list(zip(*s_sorted))
+    s_set, pointed = _pointed_product(instance, s_tuples, guard)
+    distinguished = pointed.distinguished
     j = answer.isolated_position
     if j is not None:
         if not 0 <= j < len(distinguished):
             raise CertificateError(f"isolated position {j} is not a position of S")
         d = distinguished[j]
-        for name, tuples in pointed.interp.items():
-            if any(d in t for t in tuples):
+        r = pointed.structure.rank[d]
+        for name, rows in pointed.structure.rows.items():
+            if any(r in row for row in rows):
                 raise CertificateError(
                     f"distinguished element {d!r} lies in a tuple of {name!r}"
                 )
         return
     if answer.witness_tuple in s_set:
         raise CertificateError(f"witness tuple {answer.witness_tuple!r} lies in S")
-    try:
-        answer.witness_hom.validate(pointed, instance)
-    except InvalidStructureError as exc:
-        raise NotAHomomorphismError(str(exc)) from exc
+    answer.witness_hom.validate(pointed.structure, instance)
     image = tuple(answer.witness_hom(d) for d in distinguished)
     if image != answer.witness_tuple:
         raise CertificateError(

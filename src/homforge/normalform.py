@@ -63,7 +63,8 @@ def merge_relations(s):
     if len(s.signature.relations) != 2:
         raise InvalidStructureError("merge needs exactly two relations")
     (n1, a1), (n2, a2) = s.signature.relations
-    tuples = tuple(p + r for p in s.relation(n1) for r in s.relation(n2))
+    rel2 = s.relation(n2)
+    tuples = tuple(p + r for p in s.relation(n1) for r in rel2)
     sig = Signature(((STAR_MERGED_RELATION, a1 + a2),))
     return Structure(sig, s.domain, {STAR_MERGED_RELATION: tuples})
 
@@ -106,7 +107,8 @@ def _single_relation(s):
 def pad_first_coordinate(s):
     """Raise the arity by one so the first coordinate projects onto the domain."""
     name, arity = _single_relation(s)
-    tuples = tuple((c,) + t for c in s.domain for t in s.relation(name))
+    rel = s.relation(name)
+    tuples = tuple((c,) + t for c in s.domain for t in rel)
     return Structure(Signature(((name, arity + 1),)), s.domain, {name: tuples})
 
 

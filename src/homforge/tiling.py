@@ -146,23 +146,18 @@ def tiling_signature(m):
     return Signature(tuple(rels))
 
 
-def _h_piece(k, ell, m, mode):
-    """Bit relation of H_k in factor ell (1-based, ell in [1, 2m])."""
-    if mode == "paper-literal":
-        return DIFF if k <= ell <= m else ID
-    if ell == k:
-        return S01
-    if k < ell <= m:
-        return S10
-    return ID
+def _piece(first, last, ell, mode):
+    """Bit relation in factor ell (1-based) of the successor piece over bits first..last.
 
-
-def _v_piece(k, ell, m, mode):
+    H_k takes bits k..m of the horizontal block, V_k bits m+k..2m of the
+    vertical one.  In exact mode bit first goes 0 -> 1 and the later bits
+    1 -> 0; paper-literal mode lets every bit of the block flip either way.
+    """
     if mode == "paper-literal":
-        return DIFF if m + k <= ell <= 2 * m else ID
-    if ell == m + k:
+        return DIFF if first <= ell <= last else ID
+    if ell == first:
         return S01
-    if m + k < ell <= 2 * m:
+    if first < ell <= last:
         return S10
     return ID
 
@@ -183,8 +178,8 @@ def encode_tiling_php(inst, mode="exact"):
     for ell in range(1, 2 * m + 1):
         interp = {}
         for k in range(1, m + 1):
-            interp[f"H{k}"] = _h_piece(k, ell, m, mode)
-            interp[f"V{k}"] = _v_piece(k, ell, m, mode)
+            interp[f"H{k}"] = _piece(k, m, ell, mode)
+            interp[f"V{k}"] = _piece(m + k, 2 * m, ell, mode)
             if ell <= m:
                 interp[f"P{k}"] = ((str(bits(k - 1, m)[ell - 1]),),)
             else:

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -91,6 +92,17 @@ def test_failed_stdout_write_is_not_an_answer(files, answer):
     assert r.returncode == 2  # a usage-class failure, never the answers 0 or 1
     # neither the error report nor the flush at shutdown raised again
     assert r.stderr == ""
+
+
+@pytest.mark.parametrize("answer", ["YES", "NO", "error"])
+def test_closed_stdout_is_not_an_answer(files, answer):
+    # with fd 1 closed at start-up, Python sets sys.stdout to None
+    edge, target = str(files / "edge.json"), {"YES": "loop", "NO": "vertex", "error": "nope"}
+    argv = ["check-hom", edge, edge, "--target", str(files / f"{target[answer]}.json")]
+    cmd = shlex.join([sys.executable, "-m", "homforge.cli", *argv]) + " >&-"
+    r = subprocess.run(cmd, shell=True, stderr=subprocess.PIPE, text=True)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
 
 
 def test_bad_arguments_exit_2():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,8 +18,10 @@ from homforge.core import (
     serialize,
 )
 from homforge.errors import (
+    CertificateError,
     GuardExceededError,
     InvalidStructureError,
+    NotAHomomorphismError,
     SignatureMismatchError,
 )
 from homforge.homsolver import decide_php
@@ -226,6 +229,74 @@ def test_product_associative_up_to_rebracketing():
             assert {
                 tuple(flatten_right(x) for x in t) for t in right.relation(name)
             } == set(flat.relation(name))
+
+
+# nested elements, and a T row that repeats the element ()
+NESTED_SIG = Signature((("R", 2), ("T", 3)))
+NESTED = Structure(
+    NESTED_SIG,
+    ("a", ("a", ("b",)), ()),
+    {"R": ((("a", ("b",)), "a"),), "T": (((), "a", ()),)},
+)
+NESTED_TARGET = Structure(
+    NESTED_SIG,
+    ("u", ("v",)),
+    {"R": (("u", ("v",)), ("u", "u")), "T": ((("v",), "u", ("v",)),)},
+)
+
+
+@pytest.mark.parametrize(
+    "mapping, message",
+    [
+        ({"a": "u", ("a", ("b",)): "u"}, "element () is unmapped"),
+        (
+            {"a": "u", (): ("w",), ("a", ("b",)): "u"},
+            "() maps to ('w',), not a target element",
+        ),
+        (
+            {"a": "u", (): ("v",), ("a", ("b",)): ("v",)},
+            "tuple (('a', ('b',)), 'a') of 'R' maps to (('v',), 'u'), missing in target",
+        ),
+        (
+            {"a": ("v",), (): ("v",), ("a", ("b",)): "u"},
+            "tuple ((), 'a', ()) of 'T' maps to (('v',), ('v',), ('v',)), missing in target",
+        ),
+        (
+            {"a": "u", (): "u", ("a", ("b",)): "u"},
+            "tuple ((), 'a', ()) of 'T' maps to ('u', 'u', 'u'), missing in target",
+        ),
+    ],
+)
+def test_validate_raises_the_certificate_error(mapping, message):
+    hom = Homomorphism(mapping)
+    with pytest.raises(NotAHomomorphismError) as caught:
+        hom.validate(NESTED, NESTED_TARGET)
+    assert isinstance(caught.value, CertificateError)
+    assert str(caught.value) == message
+    assert not hom.is_valid(NESTED, NESTED_TARGET)
+
+
+def test_validate_accepts_a_homomorphism_of_nested_elements():
+    hom = Homomorphism({"a": "u", (): ("v",), ("a", ("b",)): "u"})
+    hom.validate(NESTED, NESTED_TARGET)
+    assert hom.is_valid(NESTED, NESTED_TARGET)
+
+
+def test_is_valid_agrees_with_the_oracle():
+    rng = random.Random(3141)
+    found = 0
+    for _ in range(40):
+        sig = helpers.random_signature(rng, max_relations=2, max_arity=3)
+        source = helpers.random_structure(rng, sig, max_dom=2)
+        if rng.random() < 0.5:
+            source = product([source, helpers.random_structure(rng, sig, max_dom=2)])
+        target = helpers.random_structure(rng, sig, max_dom=3, density=0.6)
+        homs = helpers.exhaustive_homs(source, target)
+        found += len(homs)
+        for values in itertools.product(target.domain, repeat=len(source.domain)):
+            mapping = dict(zip(source.domain, values))
+            assert Homomorphism(mapping).is_valid(source, target) == (mapping in homs)
+    assert found > 0
 
 
 def test_disjoint_union_counts():

@@ -76,6 +76,27 @@ def test_mixed_arity_s_rejected():
         decide_cq_definability(PATH3, [("a",), ("a", "b")])
 
 
+@pytest.mark.parametrize(
+    "s_tuples, message",
+    [
+        ([], "S must be nonempty"),
+        ([("a",), ("a", "b")], "all tuples of S must have the same length"),
+        ([("a",), ("x",)], "tuple ('x',) uses elements outside the domain"),
+        # checked in input order: the length error comes before the unknown element
+        ([("a",), ("a", "b"), ("x",)], "all tuples of S must have the same length"),
+        ([("a",), ("x",), ("a", "b")], "tuple ('x',) uses elements outside the domain"),
+    ],
+    ids=["empty", "mixed-lengths", "unknown-element", "length-first", "unknown-first"],
+)
+def test_validator_checks_s_as_the_decider_does(s_tuples, message):
+    answer = NotDefinable(("b",), None)
+    with pytest.raises(InvalidStructureError) as decided:
+        decide_cq_definability(PATH3, s_tuples)
+    with pytest.raises(InvalidStructureError) as validated:
+        validate_not_definable(PATH3, s_tuples, answer)
+    assert str(decided.value) == str(validated.value) == message
+
+
 def test_image_candidates_are_guarded():
     nodes = tuple(f"v{i}" for i in range(10))
     complete = digraph(nodes, [(a, b) for a in nodes for b in nodes])

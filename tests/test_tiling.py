@@ -1,5 +1,10 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+from homforge import cli
 from homforge.core import PhpInstance, binarize_unary, product
 from homforge.errors import GuardExceededError, InvalidStructureError
 from homforge.homsolver import decide_php
@@ -184,3 +189,36 @@ def test_tile_system_parsing():
         tile_system_from_dict(
             {"tiles": ["t"], "hcompat": [["t", "x"]], "vcompat": []}
         )
+
+
+
+# sha256 of the files `reduce tiling` writes for the checkerboard prefix of
+# length m (factor_1 .. factor_2m, then the target, concatenated), recorded
+# while the horizontal and vertical successor pieces had a rule each
+REDUCE_TILING_SHA256 = {
+    "exact m=1": "222e919ddf12ba595f968be760e11859a23bad6bf63d27954b7ea73a3992f40a",
+    "exact m=2": "54bc99f76e481fffdd25e8cf23079e5c5edc2f4b8869cb95add238d102673773",
+    "exact m=3": "908478b86697175576ffc37df2110faa19862e93e66d4740a11c98365fd78987",
+    "exact m=4": "169853fb1314d7115c644c0c6d532e0c966199b82cb751b62f6dee1431023ed6",
+    "paper-literal m=1": "1d86cc31632563f24f9df33cab6afddc1a2984948704e2706c4ccd275da6136e",
+    "paper-literal m=2": "0161b2704ebf4a8137649adb38c6e5cd5d59dfb57cfbc62b32171694fa2dc0fc",
+    "paper-literal m=3": "28bef7b7edd23fd1479234ee0251fc880039212a58e63d757f60843e5ebdc484",
+    "paper-literal m=4": "60d14db428e25ee7039f2f70d1d59adc1c322002610affa1d6f523c821d52d80",
+}
+
+
+@pytest.mark.parametrize("key", sorted(REDUCE_TILING_SHA256))
+def test_reduce_tiling_files_are_pinned(key, capsys, tmp_path):
+    mode, m = key.split(" m=")
+    system = tmp_path / "checker.json"
+    system.write_text(
+        json.dumps({"tiles": ["k", "w"], "hcompat": [["k", "w"], ["w", "k"]],
+                    "vcompat": [["k", "w"], ["w", "k"]]})
+    )
+    prefix = ["w" if i % 2 == 0 else "k" for i in range(int(m))]
+    code = cli.main(["reduce", "tiling", "--system", str(system), "--prefix", *prefix,
+                     "--mode", mode, "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    files = json.loads(capsys.readouterr().out)["files"]
+    digest = hashlib.sha256(b"".join(map(Path.read_bytes, map(Path, files)))).hexdigest()
+    assert digest == REDUCE_TILING_SHA256[key]
