@@ -11,13 +11,10 @@ from .core import (
     PointedStructure,
     Signature,
     Structure,
-    binarize_unary,
     digraph,
-    disjoint_union,
     load_structure,
     parse,
     product,
-    projection,
     save_structure,
     serialize,
 )
@@ -26,20 +23,17 @@ from .cq import (
     canonical_query,
     canonical_structure,
     evaluate,
-    path_fan_query,
 )
 from .cqdef import (
     CqDefReduction,
     Definable,
     NotDefinable,
-    audit_apex_paths,
     decide_cq_definability,
     reduce_php_to_nondefinability,
 )
 from .homsolver import (
     PhpVerdict,
     decide_php,
-    enumerate_homomorphisms,
     find_homomorphism,
     image_set,
 )

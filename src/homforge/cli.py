@@ -5,7 +5,8 @@ All machine output is a single JSON document on stdout (pretty-printed with
 NotDefinable, 2 = usage or parse error, 3 = a resource guard was hit,
 4 = internal error (an unexpected exception, or an answer whose certificate
 fails its check; the traceback goes to stderr).  check-hom validates every
-YES witness and cqdef check every NotDefinable certificate before printing.
+YES witness, solve-tiling every tiling and cqdef check every NotDefinable
+certificate before printing.
 A call registers only the parser of the command it names (see build_parser),
 with help and errors unchanged; files are written by core, byte-identical to
 json.dumps(..., sort_keys=True, indent=2).
@@ -34,8 +35,14 @@ from .core import (
 )
 from .cq import canonical_structure, evaluate, load_query, query_to_dict
 from .errors import CertificateError, GuardExceededError, HomforgeError, UsageError
-from .homsolver import decide_php
-from .tiling import TilingInstance, brute_force_tiling, encode_tiling_php
+from .homsolver import decide_php, find_homomorphism
+from .tiling import (
+    TilingInstance,
+    check_tiling,
+    coordinate_element,
+    decode_hom_to_tiling,
+    encode_tiling_php,
+)
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -121,9 +128,24 @@ def cmd_reduce_tiling(args):
 
 def cmd_solve_tiling(args):
     inst = _tiling_instance(args)
-    assignment = brute_force_tiling(inst)
-    if assignment is None:
+    m = inst.m
+    # the encoded product has 4^m elements; checked here because encoding
+    # alone grows faster than m^2
+    if 4**m > args.guard:
+        raise GuardExceededError(
+            f"product domain would have 4^{m} elements (guard {args.guard})", 4**m
+        )
+    php = encode_tiling_php(inst)
+    n = 2**m
+    # every cell, row-major, so the first solution is the least grid in that
+    # order with tiles tried in sorted order
+    cells = [coordinate_element(x, y, m) for y in range(n) for x in range(n)]
+    hom = find_homomorphism(product(php.factors, guard=args.guard), php.target, cells)
+    if hom is None:
         return EXIT_NO, {"answer": "NO"}
+    assignment = decode_hom_to_tiling(hom, inst)
+    if not check_tiling(assignment, inst):
+        raise CertificateError("the decoded grid is not a valid tiling")
     grid = {f"{x},{y}": t for (x, y), t in assignment.items()}
     return EXIT_YES, {"answer": "YES", "tiling": grid}
 
@@ -210,7 +232,7 @@ COMMANDS = {
     ("product",): ("materialize a direct product", (
         ("factors", {"nargs": "+"}), ("--out", {"help": "write the product to this file"})
     ), "cmd_product"),
-    ("solve-tiling",): ("brute-force tiling oracle", (
+    ("solve-tiling",): ("decide a tiling instance through its PHP encoding", (
         ("--system", {"required": True, "help": "tile system file"}),
         ("--prefix", {"nargs": "+", "required": True, "help": "first-row prefix tiles"}),
     ), "cmd_solve_tiling"),

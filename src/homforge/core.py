@@ -1,4 +1,4 @@
-"""Finite relational structures: signatures, products, unions, and the JSON file format.
+"""Finite relational structures: signatures, products, and the JSON file format.
 
 Element identifiers are strings; composite elements (products, unions, gadget
 nodes) are nested tuples of strings.  Every Structure keeps its domain and its
@@ -81,12 +81,6 @@ class Signature:
 
     def names(self):
         return [n for n, _ in self.relations]
-
-    def arity(self, name):
-        for n, a in self.relations:
-            if n == name:
-                return a
-        raise KeyError(name)
 
     def as_dict(self):
         return dict(self.relations)
@@ -225,10 +219,6 @@ class Homomorphism:
                         f"tuple {t!r} of {name!r} maps to {image!r}, missing in target"
                     )
 
-    def compose(self, other):
-        """self after other: (self.compose(g))(x) = self(g(x))."""
-        return Homomorphism({k: self.mapping[v] for k, v in other.mapping.items()})
-
 
 def digraph(domain, edges):
     """Convenience constructor for a structure with a single binary relation E."""
@@ -304,43 +294,6 @@ def validate_php_witness(inst, hom, guard=DEFAULT_PRODUCT_GUARD):
     The product is built under guard, as decide_php builds it.
     """
     hom.validate(product(inst.factors, guard), inst.target)
-
-
-def projection(product_structure, i):
-    """The i-th projection map out of a product structure."""
-    return Homomorphism({e: e[i] for e in product_structure.domain})
-
-
-def disjoint_union(parts):
-    """Tagged union: element e of part i becomes (str(i), e)."""
-    parts = list(parts)
-    if not parts:
-        raise InvalidStructureError("disjoint union of zero parts is undefined")
-    sig = _require_shared_signature(parts)
-    domain = []
-    interp = {name: [] for name in sig.names()}
-    for i, part in enumerate(parts):
-        tag = str(i)
-        domain.extend((tag, e) for e in part.domain)
-        for name in sig.names():
-            interp[name].extend(
-                tuple((tag, c) for c in t) for t in part.relation(name)
-            )
-    return Structure(sig, tuple(domain), interp)
-
-
-def binarize_unary(s):
-    """Replace every unary relation P by the binary {(a, a) : a in P}."""
-    rels = []
-    interp = {}
-    for name, arity in s.signature.relations:
-        if arity == 1:
-            rels.append((name, 2))
-            interp[name] = tuple((t[0], t[0]) for t in s.relation(name))
-        else:
-            rels.append((name, arity))
-            interp[name] = s.relation(name)
-    return Structure(Signature(tuple(rels)), s.domain, interp)
 
 
 # --- JSON file format -------------------------------------------------------

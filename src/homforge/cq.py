@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from .core import (
     DEFAULT_PRODUCT_GUARD,
     PointedStructure,
-    Signature,
     Structure,
     element_label,
     load_json,
@@ -102,17 +101,6 @@ def evaluate(q, s, guard=DEFAULT_PRODUCT_GUARD):
     """
     pointed = canonical_structure(q, s.signature)
     return image_set(pointed, s, guard)
-
-
-def path_fan_query(r):
-    """q(x_1..x_r) = exists y_1..y_r: E(x_i, y_i) for all i, E(y_i, y_{i+1}) for i < r."""
-    if r < 1:
-        raise InvalidStructureError("path fan needs r >= 1")
-    xs = tuple(f"x{i}" for i in range(1, r + 1))
-    ys = tuple(f"y{i}" for i in range(1, r + 1))
-    atoms = [("E", (x, y)) for x, y in zip(xs, ys)]
-    atoms += [("E", (ys[i], ys[i + 1])) for i in range(r - 1)]
-    return ConjunctiveQuery(xs, ys, tuple(atoms))
 
 
 # --- JSON file format -------------------------------------------------------

@@ -28,7 +28,7 @@ from .errors import (
     SignatureMismatchError,
 )
 from .homsolver import image_witnesses
-from .normalform import max_path_length, out_path_lengths
+from .normalform import max_path_length
 
 
 @dataclass(frozen=True)
@@ -181,12 +181,3 @@ def reduce_php_to_nondefinability(inst):
     apex_set = set(apexes)
     s_tuples = tuple((e,) for e in combined.domain if e in apex_set)
     return CqDefReduction(combined, s_tuples, apexes, target_apex, r)
-
-
-def audit_apex_paths(reduction):
-    """True iff exactly the apexes have outgoing path length r + 1."""
-    lengths = out_path_lengths(reduction.structure)
-    expected = set(reduction.apexes) | {reduction.target_apex}
-    long_ones = {e for e, d in lengths.items() if d == reduction.path_length + 1}
-    over = {e for e, d in lengths.items() if d > reduction.path_length + 1}
-    return long_ones == expected and not over

@@ -25,10 +25,6 @@ class GuardExceededError(HomforgeError):
         self.cardinality = cardinality
 
 
-class EnumerationCapError(HomforgeError):
-    """More solutions exist than the configured enumeration cap."""
-
-
 class CertificateError(HomforgeError):
     """A certificate of an answer fails its independent check."""
 

@@ -28,9 +28,9 @@ canonical order.  After each solution the search backtracks to the last
 prefix variable, so every assignment of the prefix yields its first
 solution only.  The callers differ only in the prefix:
 
-- find_homomorphism: no prefix, so the first solution and nothing more;
-- enumerate_homomorphisms: every variable in rank order, so every solution,
-  in lexicographic order of the mappings;
+- find_homomorphism: the first solution and nothing more.  decide_php
+  passes no prefix; solve-tiling passes every grid cell in row-major order,
+  so the first solution is the least tiling in that order;
 - image_witnesses: the distinguished elements, so one witness per
   achievable image tuple, in lexicographic order of the tuples.
 
@@ -43,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .core import DEFAULT_PRODUCT_GUARD, Homomorphism, product
-from .errors import EnumerationCapError, GuardExceededError, SignatureMismatchError
+from .errors import GuardExceededError, SignatureMismatchError
 
 
 @dataclass(frozen=True)
@@ -261,28 +261,15 @@ class _Csp:
         )
 
 
-def find_homomorphism(source, target):
-    """First homomorphism in the deterministic search order, or None."""
-    csp = _Csp(source, target)
-    for value in csp.search():
-        return csp.homomorphism(value)
-    return None
+def find_homomorphism(source, target, prefix=()):
+    """First homomorphism in the deterministic search order, or None.
 
-
-def enumerate_homomorphisms(source, target, cap=None):
-    """All homomorphisms, in lexicographic order of their mappings.
-
-    With a cap, finding more than cap of them raises EnumerationCapError.
+    The source elements of prefix are assigned first, in the given order.
     """
     csp = _Csp(source, target)
-    results = []
-    # every variable in the prefix, in rank order: the solutions come in
-    # canonical order of the mappings
-    for value in csp.search(range(len(source.domain))):
-        results.append(csp.homomorphism(value))
-        if cap is not None and len(results) > cap:
-            raise EnumerationCapError(f"more than {cap} homomorphisms exist")
-    return results
+    for value in csp.search([source.rank[e] for e in prefix]):
+        return csp.homomorphism(value)
+    return None
 
 
 def image_set(source, target, guard=DEFAULT_PRODUCT_GUARD):
@@ -327,7 +314,6 @@ def decide_php(inst, guard=DEFAULT_PRODUCT_GUARD):
 __all__ = [
     "PhpVerdict",
     "find_homomorphism",
-    "enumerate_homomorphisms",
     "image_set",
     "image_witnesses",
     "decide_php",

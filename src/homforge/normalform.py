@@ -75,13 +75,6 @@ def single_relation_transform(inst):
     return PhpInstance(tuple(convert(f) for f in inst.factors), convert(inst.target))
 
 
-def star_instance(inst):
-    """The intermediate two-relation instance (star applied, not yet merged)."""
-    return PhpInstance(
-        tuple(star_transform(f) for f in inst.factors), star_transform(inst.target)
-    )
-
-
 def lift_hom_star(hom, inst):
     """Extend a PHP witness to the starred instance.
 

@@ -12,7 +12,6 @@ uses the symmetric difference relation throughout, which realizes a strict
 superset of the successor pieces and is kept for study only.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from .core import (
@@ -167,8 +166,7 @@ def encode_tiling_php(inst, mode="exact"):
 
     Factor ell holds bit ell of the horizontal coordinate (ell <= m) or bit
     ell-m of the vertical coordinate.  P_k pins grid position (k-1, 0) to the
-    k-th prefix tile; the P relations are kept unary here and can be
-    binarized on demand with core.binarize_unary.
+    k-th prefix tile.
     """
     if mode not in MODES:
         raise InvalidStructureError(f"mode must be one of {MODES}")
@@ -214,19 +212,6 @@ def decode_hom_to_tiling(hom, inst, mode="exact"):
         for x in range(n)
         for y in range(n)
     }
-
-
-def successor_relations(m):
-    """The horizontal and vertical successor relations on 2m-bit coordinate pairs."""
-    n = 2**m
-    h = set()
-    v = set()
-    for x, y in itertools.product(range(n), repeat=2):
-        if x + 1 < n:
-            h.add((coordinate_element(x, y, m), coordinate_element(x + 1, y, m)))
-        if y + 1 < n:
-            v.add((coordinate_element(x, y, m), coordinate_element(x, y + 1, m)))
-    return h, v
 
 
 # --- JSON file format -------------------------------------------------------

@@ -1,0 +1,104 @@
+"""Objects of the paper that the tests check and no command builds.
+
+Projections, tagged unions and binarized unary relations of core
+structures; composition of maps; the path-fan query; the starred instance
+before the merge; the apex audit of the PHP -> non-definability reduction;
+the successor relations of the tiling grid; and the full-prefix search,
+which lists every homomorphism.
+"""
+
+import itertools
+
+from homforge.core import Homomorphism, PhpInstance, Signature, Structure
+from homforge.cq import ConjunctiveQuery
+from homforge.errors import InvalidStructureError
+from homforge.homsolver import _Csp
+from homforge.normalform import out_path_lengths, star_transform
+from homforge.tiling import coordinate_element
+
+
+def projection(product_structure, i):
+    """The i-th projection map out of a product structure."""
+    return Homomorphism({e: e[i] for e in product_structure.domain})
+
+
+def disjoint_union(parts):
+    """Tagged union: element e of part i becomes (str(i), e)."""
+    sig = parts[0].signature
+    domain = []
+    interp = {name: [] for name in sig.names()}
+    for i, part in enumerate(parts):
+        tag = str(i)
+        domain.extend((tag, e) for e in part.domain)
+        for name in sig.names():
+            interp[name].extend(tuple((tag, c) for c in t) for t in part.relation(name))
+    return Structure(sig, tuple(domain), interp)
+
+
+def binarize_unary(s):
+    """Replace every unary relation P by the binary {(a, a) : a in P}."""
+    rels = []
+    interp = {}
+    for name, arity in s.signature.relations:
+        if arity == 1:
+            rels.append((name, 2))
+            interp[name] = tuple((t[0], t[0]) for t in s.relation(name))
+        else:
+            rels.append((name, arity))
+            interp[name] = s.relation(name)
+    return Structure(Signature(tuple(rels)), s.domain, interp)
+
+
+def compose(g, h):
+    """g after h: compose(g, h)(x) = g(h(x))."""
+    return Homomorphism({k: g.mapping[v] for k, v in h.mapping.items()})
+
+
+def path_fan_query(r):
+    """q(x_1..x_r) = exists y_1..y_r: E(x_i, y_i) for all i, E(y_i, y_{i+1}) for i < r."""
+    if r < 1:
+        raise InvalidStructureError("path fan needs r >= 1")
+    xs = tuple(f"x{i}" for i in range(1, r + 1))
+    ys = tuple(f"y{i}" for i in range(1, r + 1))
+    atoms = [("E", (x, y)) for x, y in zip(xs, ys)]
+    atoms += [("E", (ys[i], ys[i + 1])) for i in range(r - 1)]
+    return ConjunctiveQuery(xs, ys, tuple(atoms))
+
+
+def star_instance(inst):
+    """The intermediate two-relation instance (star applied, not yet merged)."""
+    return PhpInstance(
+        tuple(star_transform(f) for f in inst.factors), star_transform(inst.target)
+    )
+
+
+def audit_apex_paths(reduction):
+    """True iff exactly the apexes have outgoing path length r + 1."""
+    lengths = out_path_lengths(reduction.structure)
+    expected = set(reduction.apexes) | {reduction.target_apex}
+    long_ones = {e for e, d in lengths.items() if d == reduction.path_length + 1}
+    over = {e for e, d in lengths.items() if d > reduction.path_length + 1}
+    return long_ones == expected and not over
+
+
+def successor_relations(m):
+    """The horizontal and vertical successor relations on 2m-bit coordinate pairs."""
+    n = 2**m
+    h = set()
+    v = set()
+    for x, y in itertools.product(range(n), repeat=2):
+        if x + 1 < n:
+            h.add((coordinate_element(x, y, m), coordinate_element(x + 1, y, m)))
+        if y + 1 < n:
+            v.add((coordinate_element(x, y, m), coordinate_element(x, y + 1, m)))
+    return h, v
+
+
+def enumerate_homomorphisms(source, target):
+    """Every homomorphism, one at a time, in lexicographic order of the mappings.
+
+    The search takes every source element as its prefix, in rank order.
+    """
+    csp = _Csp(source, target)
+    for value in csp.search(range(len(source.domain))):
+        yield csp.homomorphism(value)

@@ -17,14 +17,12 @@ from homforge.core import (
     Signature,
     digraph,
     product,
-    projection,
     save_structure,
 )
 from homforge.cq import evaluate
 from homforge.cqdef import (
     Definable,
     NotDefinable,
-    audit_apex_paths,
     decide_cq_definability,
     reduce_php_to_nondefinability,
 )
@@ -37,17 +35,16 @@ from homforge.normalform import (
     pad_first_coordinate,
     restrict_hom_digraph,
     single_relation_transform,
-    star_instance,
 )
 from homforge.tiling import (
     TileSystem,
     TilingInstance,
     brute_force_tiling,
     encode_tiling_php,
-    successor_relations,
 )
 
 import helpers
+from paper_objects import audit_apex_paths, projection, star_instance, successor_relations
 
 
 def report(number, title, ok):

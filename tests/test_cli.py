@@ -317,6 +317,35 @@ def test_cqdef_check_invalid_certificate_exits_4(
         _assert_certificate_failure(code, capsys)
 
 
+@pytest.mark.parametrize("corruption", ["search", "grid"])
+def test_solve_tiling_invalid_tiling_exits_4(tmp_path, monkeypatch, capsys, corruption):
+    # the checkerboard on the 2x2 grid: (0, 0) is w, so (1, 0) must be k
+    system = tmp_path / "checker.json"
+    system.write_text(json.dumps({"tiles": ["k", "w"], "hcompat": [["k", "w"], ["w", "k"]],
+                                  "vcompat": [["k", "w"], ["w", "k"]]}))
+    if corruption == "search":
+        find = cli.find_homomorphism
+
+        def corrupt(source, target, prefix):
+            mapping = dict(find(source, target, prefix).mapping)
+            assert mapping[("1", "0")] == "k"
+            mapping[("1", "0")] = "w"
+            return Homomorphism(mapping)
+
+        monkeypatch.setattr(cli, "find_homomorphism", corrupt)
+    else:
+        decode = cli.decode_hom_to_tiling
+
+        def corrupt(hom, inst):
+            grid = decode(hom, inst)
+            assert grid[(1, 0)] == "k"
+            return {**grid, (1, 0): "w"}
+
+        monkeypatch.setattr(cli, "decode_hom_to_tiling", corrupt)
+    code = cli.main(["solve-tiling", "--system", str(system), "--prefix", "w"])
+    _assert_certificate_failure(code, capsys)
+
+
 def test_product_output_reparses(files, tmp_path):
     out = tmp_path / "prod.json"
     r = run_cli(

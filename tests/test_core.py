@@ -9,12 +9,9 @@ from homforge.core import (
     PhpInstance,
     Signature,
     Structure,
-    binarize_unary,
     digraph,
-    disjoint_union,
     parse,
     product,
-    projection,
     serialize,
 )
 from homforge.errors import (
@@ -28,6 +25,7 @@ from homforge.homsolver import decide_php
 from homforge.normalform import gadget_digraph, pad_first_coordinate, star_transform
 
 import helpers
+from paper_objects import binarize_unary, disjoint_union, projection
 
 
 ONE_EDGE = digraph(("a", "b"), (("a", "b"),))
@@ -317,7 +315,7 @@ def test_binarize_unary_definition():
     sig = Signature((("P", 1), ("E", 2)))
     s = Structure(sig, ("a", "b"), {"P": (("a",),), "E": ()})
     b = binarize_unary(s)
-    assert b.signature.arity("P") == 2
+    assert b.signature.as_dict()["P"] == 2
     assert b.relation("P") == (("a", "a"),)
     # no unary relations: unchanged
     assert binarize_unary(ONE_EDGE) == ONE_EDGE

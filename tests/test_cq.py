@@ -8,14 +8,14 @@ from homforge.cq import (
     canonical_query,
     canonical_structure,
     evaluate,
-    path_fan_query,
     query_from_dict,
     query_to_dict,
 )
 from homforge.errors import GuardExceededError, InvalidStructureError, UnsafeQueryError
-from homforge.homsolver import enumerate_homomorphisms, find_homomorphism
+from homforge.homsolver import find_homomorphism
 
 import helpers
+from paper_objects import enumerate_homomorphisms, path_fan_query
 
 
 SIG_E = Signature((("E", 2),))

@@ -8,7 +8,6 @@ from homforge.cq import evaluate
 from homforge.cqdef import (
     Definable,
     NotDefinable,
-    audit_apex_paths,
     decide_cq_definability,
     reduce_php_to_nondefinability,
     validate_not_definable,
@@ -22,6 +21,7 @@ from homforge.homsolver import decide_php
 from homforge.normalform import digraph_transform
 
 import helpers
+from paper_objects import audit_apex_paths
 
 
 LOOP = digraph(("v",), (("v", "v"),))

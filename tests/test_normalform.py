@@ -9,9 +9,8 @@ from homforge.core import (
     Structure,
     digraph,
     product,
-    projection,
 )
-from homforge.cq import evaluate, path_fan_query
+from homforge.cq import evaluate
 from homforge.errors import (
     CyclicStructureError,
     GuardExceededError,
@@ -33,12 +32,12 @@ from homforge.normalform import (
     restrict_hom_digraph,
     single_relation_transform,
     sink_node,
-    star_instance,
     star_transform,
     tuple_node,
 )
 
 import helpers
+from paper_objects import path_fan_query, projection, star_instance
 
 
 TWO_REL_SIG = Signature((("R1", 1), ("R2", 2)))

@@ -1,11 +1,14 @@
 import hashlib
+import itertools
 import json
+import random
+import time
 from pathlib import Path
 
 import pytest
 
 from homforge import cli
-from homforge.core import PhpInstance, binarize_unary, product
+from homforge.core import PhpInstance, product
 from homforge.errors import GuardExceededError, InvalidStructureError
 from homforge.homsolver import decide_php
 from homforge.tiling import (
@@ -18,9 +21,10 @@ from homforge.tiling import (
     check_tiling,
     decode_hom_to_tiling,
     encode_tiling_php,
-    successor_relations,
     tile_system_from_dict,
 )
+
+from paper_objects import binarize_unary, successor_relations
 
 
 CHECKER = TileSystem(
@@ -222,3 +226,81 @@ def test_reduce_tiling_files_are_pinned(key, capsys, tmp_path):
     files = json.loads(capsys.readouterr().out)["files"]
     digest = hashlib.sha256(b"".join(map(Path.read_bytes, map(Path, files)))).hexdigest()
     assert digest == REDUCE_TILING_SHA256[key]
+
+
+def _checker_file(tmp_path):
+    path = tmp_path / "checker.json"
+    path.write_text(json.dumps({"tiles": ["k", "w"], "hcompat": [["k", "w"], ["w", "k"]],
+                                "vcompat": [["k", "w"], ["w", "k"]]}))
+    return path
+
+
+def _solve_tiling(capsys, system, prefix):
+    code = cli.main(["solve-tiling", "--system", str(system), "--prefix", *prefix])
+    payload = json.loads(capsys.readouterr().out)
+    if "tiling" in payload:
+        payload["tiling"] = {
+            tuple(map(int, cell.split(","))): t for cell, t in payload["tiling"].items()
+        }
+    return code, payload
+
+
+def test_solve_tiling_agrees_with_brute_force(tmp_path, capsys):
+    rng = random.Random(11)
+    answers = set()
+    for i in range(150):
+        m = 1 + i % 3
+        tiles = [f"t{j}" for j in range(rng.randint(2, 4))]
+        pairs = [list(p) for p in itertools.product(tiles, repeat=2)]
+        data = {
+            "tiles": tiles,
+            "hcompat": [p for p in pairs if rng.random() < 0.5],
+            "vcompat": [p for p in pairs if rng.random() < 0.5],
+        }
+        inst = TilingInstance(tile_system_from_dict(data), [rng.choice(tiles) for _ in range(m)])
+        expected = brute_force_tiling(inst)
+        answers.add(expected is None)
+        # declared in sorted order, then in a random one
+        for declared in (tiles, rng.sample(tiles, len(tiles))):
+            system = tmp_path / "system.json"
+            system.write_text(json.dumps({**data, "tiles": declared}))
+            code, payload = _solve_tiling(capsys, system, inst.prefix)
+            if expected is None:
+                assert (code, payload) == (1, {"answer": "NO"})
+                continue
+            assert code == 0 and payload["answer"] == "YES"
+            assert check_tiling(payload["tiling"], inst)
+            if declared == tiles:
+                # the search tries tiles in sorted order, brute force in declared order
+                assert payload["tiling"] == expected
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_solve_tiling_checkerboard_past_brute_force(m, tmp_path, capsys):
+    prefix = ["w" if i % 2 == 0 else "k" for i in range(m)]
+    code, payload = _solve_tiling(capsys, _checker_file(tmp_path), prefix)
+    assert code == 0
+    grid = payload["tiling"]
+    assert check_tiling(grid, TilingInstance(CHECKER, prefix))
+    n = 2**m
+    assert grid == {(x, y): "wk"[(x + y) % 2] for x in range(n) for y in range(n)}
+
+
+def test_solve_tiling_guard_fires_before_encoding(tmp_path, capsys, monkeypatch):
+    checker = _checker_file(tmp_path)
+
+    def encode(*args):
+        raise AssertionError("encoded past the guard")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "encode_tiling_php", encode)
+        start = time.monotonic()
+        code, payload = _solve_tiling(capsys, checker, ["w"] * 1000)
+        assert time.monotonic() - start < 1
+        assert code == 3 and "4^1000" in payload["error"]
+    # checkerboard m=4 has 256 product elements
+    monkeypatch.setenv("HOMFORGE_GUARD", "255")
+    assert _solve_tiling(capsys, checker, ["w", "k", "w", "k"])[0] == 3
+    monkeypatch.setenv("HOMFORGE_GUARD", "256")
+    assert _solve_tiling(capsys, checker, ["w", "k", "w", "k"])[0] == 0
