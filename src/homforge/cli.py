@@ -7,13 +7,12 @@ NotDefinable, 2 = usage or parse error, 3 = a resource guard was hit,
 fails its check; the traceback goes to stderr).  check-hom validates every
 YES witness, solve-tiling every tiling and cqdef check every NotDefinable
 certificate before printing.
-A call registers only the parser of the command it names (see build_parser),
-with help and errors unchanged; files are written by core, byte-identical to
-json.dumps(..., sort_keys=True, indent=2).
+A plain argv is read straight from COMMANDS (see _quick_parse); help, usage
+and errors come from the full argparse tree of build_parser.  Files are
+written by core, byte-identical to json.dumps(..., sort_keys=True, indent=2).
 """
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -261,34 +260,92 @@ COMMANDS = {
 }
 
 
-def build_parser(argv=None):
-    """The full parser, or, given argv, one that registers only the commands argv names.
-
-    Past leading --pretty tokens, each token that names a child registers it
-    alone; from the first that names none, every child below is registered.
-    """
+def build_parser():
+    """The full argparse tree, which writes every help, usage and error text."""
     parser = argparse.ArgumentParser(prog="homforge", description=COMMANDS[()][0])
     parser.add_argument("--pretty", action="store_true", help="indent JSON output")
-    words = None if argv is None else list(itertools.dropwhile(lambda w: w == "--pretty", argv))
-    _add_children(parser, (), words)
+    _add_children(parser, ())
     return parser
 
 
-def _add_children(parser, path, words):
-    names = [p[-1] for p in COMMANDS if p and p[:-1] == path]
-    one = bool(words) and words[0] in names
-    # with one child registered, the full choice list keeps the usage line
-    metavar = "{" + ",".join(names) + "}" if one else None
-    sub = parser.add_subparsers(dest=COMMANDS[path][1], required=True, metavar=metavar)
-    for name in words[:1] if one else names:
+def _add_children(parser, path):
+    sub = parser.add_subparsers(dest=COMMANDS[path][1], required=True)
+    for name in [p[-1] for p in COMMANDS if p and p[:-1] == path]:
         entry = COMMANDS[path + (name,)]
         child = sub.add_parser(name, help=entry[0])
         if len(entry) == 2:
-            _add_children(child, path + (name,), words[1:] if one else None)
+            _add_children(child, path + (name,))
             continue
         for flag, options in entry[1]:
             child.add_argument(flag, **options)
         child.set_defaults(func=globals()[entry[2]])
+
+
+def _quick_parse(argv):
+    """The Namespace argparse returns for a plain, complete argv, read from COMMANDS.
+
+    Plain: leading --pretty tokens, exact command words, then exact declared
+    flags, each at most once with its values, and the positionals in one run;
+    only a flag may start with "-".  Anything else (help, "--", --flag=value,
+    abbreviations, errors) gives None and is left to build_parser.
+    """
+    argv = list(argv)
+    values = {"pretty": False}
+    while argv[:1] == ["--pretty"]:
+        values["pretty"], argv = True, argv[1:]
+    path = ()
+    while len(COMMANDS[path]) == 2:
+        if not argv or path + (argv[0],) not in COMMANDS:
+            return None
+        values[COMMANDS[path][1]] = argv[0]
+        path, argv = path + (argv[0],), argv[1:]
+    _, arguments, func = COMMANDS[path]
+    declared = dict(arguments)
+    # each token that starts with "-" begins a segment: that flag, then its tokens
+    segments = [[None]]
+    for token in argv:
+        if token.startswith("-"):
+            segments.append([token])
+        else:
+            segments[-1].append(token)
+    got, runs = {}, []
+    for flag, *tokens in segments:
+        if flag is not None:
+            if flag not in declared or flag in got:
+                return None
+            if declared[flag].get("action") == "store_true":
+                got[flag] = True
+            else:
+                # nargs None takes one token, "+" all of them
+                take = len(tokens) if declared[flag].get("nargs") == "+" else 1
+                got[flag], tokens = tokens[:take], tokens[take:]
+        if tokens:
+            runs.append(tokens)
+    run = runs[0] if runs else []
+    positionals = [name for name, _ in arguments if not name.startswith("-")]
+    extra = len(run) - len(positionals)
+    if len(runs) > 1 or extra < 0:
+        return None
+    # a "+" positional takes every token the others leave, as argparse's greedy match does
+    for name in positionals:
+        take = 1 + extra if declared[name].get("nargs") == "+" else 1
+        got[name], run, extra = run[:take], run[take:], extra + 1 - take
+    if run:
+        return None
+    for name, options in arguments:
+        value = got.get(name)
+        if value is None:
+            if options.get("required"):
+                return None
+            value = False if options.get("action") == "store_true" else options.get("default")
+        elif value is not True:
+            unknown = "choices" in options and not set(value) <= set(options["choices"])
+            if not value or unknown:
+                return None
+            value = value if options.get("nargs") == "+" else value[0]
+        values[name.lstrip("-").replace("-", "_") if name.startswith("-") else name] = value
+    values["func"] = globals()[func]
+    return argparse.Namespace(**values)
 
 
 def _report(message, args, code):
@@ -306,7 +363,7 @@ def _report(message, args, code):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = _quick_parse(argv) or build_parser().parse_args(argv)
     try:
         # read once, before any command runs, so every command rejects a bad value
         args.guard = _guard()

@@ -195,7 +195,10 @@ def encode_tiling_php(inst, mode="exact"):
 
 def coordinate_element(x, y, m):
     """The product element (bit tuple) encoding grid position (x, y)."""
-    return tuple(str(b) for b in bits(x, m) + bits(y, m))
+    for k in (x, y):
+        if not 0 <= k < 2**m:
+            raise InvalidStructureError(f"{k} is not in [0, 2^{m})")
+    return tuple(format(x, f"0{m}b") + format(y, f"0{m}b"))
 
 
 def decode_hom_to_tiling(hom, inst, mode="exact"):

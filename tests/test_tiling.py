@@ -19,6 +19,7 @@ from homforge.tiling import (
     bits,
     brute_force_tiling,
     check_tiling,
+    coordinate_element,
     decode_hom_to_tiling,
     encode_tiling_php,
     tile_system_from_dict,
@@ -48,6 +49,17 @@ def test_bits_reconstruction():
         for k in range(2**m):
             b = bits(k, m)
             assert sum(b[i] * 2 ** (m - 1 - i) for i in range(m)) == k
+
+
+def test_coordinate_element_is_the_bits_of_x_then_y():
+    for m in range(1, 7):
+        for x in range(2**m):
+            for y in range(2**m):
+                expected = tuple(str(b) for b in bits(x, m) + bits(y, m))
+                assert coordinate_element(x, y, m) == expected
+    for x, y in ((4, 0), (0, 4), (-1, 0), (0, -1)):
+        with pytest.raises(InvalidStructureError):
+            coordinate_element(x, y, 2)
 
 
 def test_brute_force_constant_tiling():
