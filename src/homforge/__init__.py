@@ -51,7 +51,6 @@ from .normalform import (
 from .tiling import (
     TileSystem,
     TilingInstance,
-    bits,
     brute_force_tiling,
     check_tiling,
     decode_hom_to_tiling,

@@ -142,7 +142,7 @@ def cmd_solve_tiling(args):
     hom = find_homomorphism(product(php.factors, guard=args.guard), php.target, cells)
     if hom is None:
         return EXIT_NO, {"answer": "NO"}
-    assignment = decode_hom_to_tiling(hom, inst)
+    assignment = decode_hom_to_tiling(hom, inst, args.guard)
     if not check_tiling(assignment, inst):
         raise CertificateError("the decoded grid is not a valid tiling")
     grid = {f"{x},{y}": t for (x, y), t in assignment.items()}

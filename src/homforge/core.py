@@ -1,17 +1,18 @@
 """Finite relational structures: signatures, products, and the JSON file format.
 
 Element identifiers are strings; composite elements (products, unions, gadget
-nodes) are nested tuples of strings.  Every Structure keeps its domain and its
-relations in one canonical order, so equal structures compare equal and every
-traversal is deterministic.  The order is decided here and only here: the
-domain is sorted with element_key (strings before tuples, recursively), and
-each relation lists its tuples in lexicographic order of their components'
-ranks in that sorted domain.  That interning is kept on the structure as
-rank (element -> its index in the domain) and rows (relation name -> its
-tuples as rank tuples, in that order).  Rows are the only stored form of a
-relation: relation(name) reads its element tuples off them on each call.
-Other modules read rank and rows rather than sorting elements or building
-their own index maps.
+nodes) are nested tuples of strings.  Every Structure keeps its relations,
+its domain and its tuples in one canonical order, so equal structures compare
+equal and every traversal is deterministic.  The order is decided here and
+only here: a Signature lists its relations sorted by name, whatever order
+they were declared in; the domain is sorted with element_key (strings before
+tuples, recursively); and each relation lists its tuples in lexicographic
+order of their components' ranks in that sorted domain.  That interning is
+kept on the structure as rank (element -> its index in the domain) and rows
+(relation name -> its tuples as rank tuples, in that order).  Rows are the
+only stored form of a relation: relation(name) reads its element tuples off
+them on each call.  Other modules read rank and rows rather than sorting
+elements or building their own index maps.
 
 Structure._canonical is the one way around that work, for output that is
 canonical by construction; product is its only caller.  It sorts, ranks and
@@ -65,29 +66,25 @@ def element_label(e):
 
 @dataclass(frozen=True)
 class Signature:
-    """Ordered list of (relation name, arity) pairs."""
+    """(relation name, arity) pairs, sorted by name; declaration order is not kept."""
 
     relations: tuple
 
     def __post_init__(self):
         rels = tuple((str(n), int(a)) for n, a in self.relations)
-        object.__setattr__(self, "relations", rels)
         names = [n for n, _ in rels]
         if len(set(names)) != len(names):
             raise InvalidStructureError("relation names must be pairwise distinct")
         for n, a in rels:
             if a < 1:
                 raise InvalidStructureError(f"arity of {n!r} must be >= 1, got {a}")
+        object.__setattr__(self, "relations", tuple(sorted(rels)))
 
     def names(self):
         return [n for n, _ in self.relations]
 
     def as_dict(self):
         return dict(self.relations)
-
-    def same_as(self, other):
-        """Signature compatibility ignores declaration order."""
-        return self.as_dict() == other.as_dict()
 
 
 @dataclass(frozen=True, init=False)
@@ -175,7 +172,7 @@ class PhpInstance:
         if not self.factors:
             raise InvalidStructureError("a PHP instance needs at least one factor")
         for f in self.factors:
-            if not f.signature.same_as(self.target.signature):
+            if f.signature != self.target.signature:
                 raise SignatureMismatchError("factors and target must share a signature")
 
 
@@ -228,7 +225,7 @@ def digraph(domain, edges):
 def _require_shared_signature(structures):
     sig = structures[0].signature
     for s in structures[1:]:
-        if not s.signature.same_as(sig):
+        if s.signature != sig:
             raise SignatureMismatchError("structures do not share a signature")
     return sig
 
@@ -300,8 +297,8 @@ def validate_php_witness(inst, hom, guard=DEFAULT_PRODUCT_GUARD):
 #
 # {"domain": ["a", "b"], "relations": {"E": {"arity": 2, "tuples": [["a","b"]]}}}
 #
-# Serialization keeps the structure's canonical order of the domain and the
-# tuples, and sorts the relation names.
+# Serialization keeps the structure's canonical order: relation names, the
+# domain and the tuples.
 
 
 def structure_to_dict(s):
@@ -313,7 +310,7 @@ def structure_to_dict(s):
                 "arity": arity,
                 "tuples": [[labels[r] for r in row] for row in s.rows[name]],
             }
-            for name, arity in sorted(s.signature.relations)
+            for name, arity in s.signature.relations
         },
     }
 
@@ -339,7 +336,7 @@ def serialize(s):
     """
     labels = [_quote(element_label(e)) for e in s.domain]
     relations = []
-    for name, arity in sorted(s.signature.relations):
+    for name, arity in s.signature.relations:
         tuples = _rows([[labels[r] for r in row] for row in s.rows[name]], 6)
         relation = _block([f'"arity": {arity}', f'"tuples": {tuples}'], 4, "{}")
         relations.append(f"{_quote(name)}: {relation}")

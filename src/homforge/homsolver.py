@@ -102,7 +102,7 @@ class _Csp:
     """Interned variables and values, bitset domains with a trail, shared-table constraints."""
 
     def __init__(self, source, target):
-        if not source.signature.same_as(target.signature):
+        if source.signature != target.signature:
             raise SignatureMismatchError("source and target must share a signature")
         self.source_domain = source.domain
         self.values = target.domain

@@ -36,6 +36,7 @@ def star_transform(s):
 
     R has arity sum of the old arities and contains the all-zeroes tuple plus,
     for each old tuple, its zero-padded embedding at the corresponding block.
+    Blocks follow the canonical relation order, by name, in every structure.
     """
     if not s.signature.relations:
         raise InvalidStructureError("star transform needs at least one relation")
@@ -59,7 +60,11 @@ def star_transform(s):
 
 
 def merge_relations(s):
-    """Collapse a two-relation structure into one relation: cartesian product P x R."""
+    """Collapse a two-relation structure into one relation: cartesian product P x R.
+
+    The relation first in the canonical order, by name (P after star_transform),
+    gives each merged tuple its first block.
+    """
     if len(s.signature.relations) != 2:
         raise InvalidStructureError("merge needs exactly two relations")
     (n1, a1), (n2, a2) = s.signature.relations

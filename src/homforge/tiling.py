@@ -15,6 +15,7 @@ superset of the successor pieces and is kept for study only.
 from dataclasses import dataclass
 
 from .core import (
+    DEFAULT_PRODUCT_GUARD,
     PhpInstance,
     Signature,
     Structure,
@@ -38,12 +39,14 @@ BRUTE_FORCE_MAX_M = 3
 
 @dataclass(frozen=True)
 class TileSystem:
+    """Tiles, sorted whatever order they were declared in, and their compatibility pairs."""
+
     tiles: tuple
     hcompat: frozenset  # ordered pairs (left, right)
     vcompat: frozenset  # ordered pairs (below, above)
 
     def __post_init__(self):
-        object.__setattr__(self, "tiles", tuple(self.tiles))
+        object.__setattr__(self, "tiles", tuple(sorted(self.tiles)))
         object.__setattr__(self, "hcompat", frozenset(tuple(p) for p in self.hcompat))
         object.__setattr__(self, "vcompat", frozenset(tuple(p) for p in self.vcompat))
         declared = set(self.tiles)
@@ -69,13 +72,6 @@ class TilingInstance:
     @property
     def m(self):
         return len(self.prefix)
-
-
-def bits(k, m):
-    """Most-significant-first binary encoding of k as m bits."""
-    if not 0 <= k < 2**m:
-        raise InvalidStructureError(f"{k} is not in [0, 2^{m})")
-    return tuple((k >> (m - 1 - i)) & 1 for i in range(m))
 
 
 def check_tiling(assignment, inst):
@@ -178,10 +174,7 @@ def encode_tiling_php(inst, mode="exact"):
         for k in range(1, m + 1):
             interp[f"H{k}"] = _piece(k, m, ell, mode)
             interp[f"V{k}"] = _piece(m + k, 2 * m, ell, mode)
-            if ell <= m:
-                interp[f"P{k}"] = ((str(bits(k - 1, m)[ell - 1]),),)
-            else:
-                interp[f"P{k}"] = (("0",),)
+            interp[f"P{k}"] = ((coordinate_element(k - 1, 0, m)[ell - 1],),)
         factors.append(Structure(sig, ("0", "1"), interp))
     sys = inst.system
     target_interp = {}
@@ -201,13 +194,13 @@ def coordinate_element(x, y, m):
     return tuple(format(x, f"0{m}b") + format(y, f"0{m}b"))
 
 
-def decode_hom_to_tiling(hom, inst, mode="exact"):
+def decode_hom_to_tiling(hom, inst, guard=DEFAULT_PRODUCT_GUARD):
     """Read a PHP witness back as a grid assignment.
 
-    The map is first checked against the encoded instance; an invalid map
-    raises NotAHomomorphismError.
+    The map is first checked against the exact encoding, whose product is
+    built under guard; an invalid map raises NotAHomomorphismError.
     """
-    validate_php_witness(encode_tiling_php(inst, mode), hom)
+    validate_php_witness(encode_tiling_php(inst), hom, guard)
     m = inst.m
     n = 2**m
     return {

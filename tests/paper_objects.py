@@ -3,8 +3,8 @@
 Projections, tagged unions and binarized unary relations of core
 structures; composition of maps; the path-fan query; the starred instance
 before the merge; the apex audit of the PHP -> non-definability reduction;
-the successor relations of the tiling grid; and the full-prefix search,
-which lists every homomorphism.
+the bits of a grid coordinate and the successor relations of the tiling
+grid; and the full-prefix search, which lists every homomorphism.
 """
 
 import itertools
@@ -79,6 +79,13 @@ def audit_apex_paths(reduction):
     long_ones = {e for e, d in lengths.items() if d == reduction.path_length + 1}
     over = {e for e, d in lengths.items() if d > reduction.path_length + 1}
     return long_ones == expected and not over
+
+
+def bits(k, m):
+    """Most-significant-first binary encoding of k as m bits."""
+    if not 0 <= k < 2**m:
+        raise InvalidStructureError(f"{k} is not in [0, 2^{m})")
+    return tuple((k >> (m - 1 - i)) & 1 for i in range(m))
 
 
 def successor_relations(m):

@@ -336,8 +336,8 @@ def test_solve_tiling_invalid_tiling_exits_4(tmp_path, monkeypatch, capsys, corr
     else:
         decode = cli.decode_hom_to_tiling
 
-        def corrupt(hom, inst):
-            grid = decode(hom, inst)
+        def corrupt(hom, inst, guard):
+            grid = decode(hom, inst, guard)
             assert grid[(1, 0)] == "k"
             return {**grid, (1, 0): "w"}
 

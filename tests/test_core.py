@@ -39,6 +39,17 @@ def test_signature_rejects_duplicates_and_bad_arity():
         Signature((("E", 0),))
 
 
+def test_declaration_order_changes_neither_equality_nor_bytes():
+    rels = (("E", 2), ("P", 1), ("U", 1))
+    interp = {"E": (("a", "b"),), "P": (("b",),), "U": (("a",),)}
+    first = Structure(Signature(rels), ("a", "b"), interp)
+    for declared in itertools.permutations(rels):
+        s = Structure(Signature(declared), ("b", "a"), interp)
+        assert s.signature.relations == rels
+        assert s == first
+        assert serialize(s) == serialize(first)
+
+
 def test_structure_invariants():
     sig = Signature((("E", 2),))
     with pytest.raises(InvalidStructureError):

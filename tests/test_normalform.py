@@ -93,6 +93,28 @@ def test_star_merge_preserves_php():
         assert before == after
 
 
+def test_star_merge_ignores_declaration_order():
+    # the star blocks line up even when each structure declares its relations
+    # in its own order
+    rng = random.Random(43)
+    answers = set()
+    for _ in range(60):
+        factors = []
+        for _ in range(rng.randint(1, 2)):
+            declared = Signature(tuple(rng.sample(TWO_REL_SIG.relations, 2)))
+            factors.append(helpers.random_structure(rng, declared))
+        declared = Signature(tuple(rng.sample(TWO_REL_SIG.relations, 2)))
+        inst = PhpInstance(tuple(factors), helpers.random_structure(rng, declared))
+        v = decide_php(inst)
+        merged = single_relation_transform(inst)
+        assert decide_php(merged).yes == v.yes
+        answers.add(v.yes)
+        if v.yes:
+            lifted = lift_hom_star(v.witness, inst)
+            assert lifted.is_valid(product(merged.factors), merged.target)
+    assert answers == {True, False}
+
+
 def test_lift_hom_star_identity_factor():
     s = two_rel_example()
     inst = PhpInstance((s,), s)

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from homforge import cli
-from homforge.core import PhpInstance, product
+from homforge import cli, tiling
+from homforge.core import DEFAULT_PRODUCT_GUARD, PhpInstance, product, validate_php_witness
 from homforge.errors import GuardExceededError, InvalidStructureError
 from homforge.homsolver import decide_php
 from homforge.tiling import (
@@ -16,7 +16,6 @@ from homforge.tiling import (
     S01,
     TileSystem,
     TilingInstance,
-    bits,
     brute_force_tiling,
     check_tiling,
     coordinate_element,
@@ -25,7 +24,7 @@ from homforge.tiling import (
     tile_system_from_dict,
 )
 
-from paper_objects import binarize_unary, successor_relations
+from paper_objects import binarize_unary, bits, successor_relations
 
 
 CHECKER = TileSystem(
@@ -194,11 +193,14 @@ def test_binarized_encoding_same_verdict():
         assert decide_php(enc).yes == decide_php(benc).yes
 
 
+SYSTEM = {"tiles": ["t", "u"], "hcompat": [["t", "u"]], "vcompat": [["t", "t"]]}
+
+
 def test_tile_system_parsing():
-    sys = tile_system_from_dict(
-        {"tiles": ["t", "u"], "hcompat": [["t", "u"]], "vcompat": [["t", "t"]]}
-    )
+    sys = tile_system_from_dict(SYSTEM)
     assert sys.hcompat == frozenset({("t", "u")})
+    # tiles are kept sorted, whatever order they are declared in
+    assert tile_system_from_dict({**SYSTEM, "tiles": ["u", "t"]}) == sys
     with pytest.raises(InvalidStructureError):
         tile_system_from_dict({"tiles": ["t"]})
     with pytest.raises(InvalidStructureError):
@@ -272,19 +274,21 @@ def test_solve_tiling_agrees_with_brute_force(tmp_path, capsys):
         inst = TilingInstance(tile_system_from_dict(data), [rng.choice(tiles) for _ in range(m)])
         expected = brute_force_tiling(inst)
         answers.add(expected is None)
-        # declared in sorted order, then in a random one
+        # declared in sorted order, then in a random one: both the search and
+        # brute force try tiles in sorted order, so the grid is the same
         for declared in (tiles, rng.sample(tiles, len(tiles))):
+            redeclared = {**data, "tiles": declared}
+            reordered = TilingInstance(tile_system_from_dict(redeclared), inst.prefix)
+            assert brute_force_tiling(reordered) == expected
             system = tmp_path / "system.json"
-            system.write_text(json.dumps({**data, "tiles": declared}))
+            system.write_text(json.dumps(redeclared))
             code, payload = _solve_tiling(capsys, system, inst.prefix)
             if expected is None:
                 assert (code, payload) == (1, {"answer": "NO"})
                 continue
             assert code == 0 and payload["answer"] == "YES"
             assert check_tiling(payload["tiling"], inst)
-            if declared == tiles:
-                # the search tries tiles in sorted order, brute force in declared order
-                assert payload["tiling"] == expected
+            assert payload["tiling"] == expected
     assert answers == {True, False}
 
 
@@ -316,3 +320,16 @@ def test_solve_tiling_guard_fires_before_encoding(tmp_path, capsys, monkeypatch)
     assert _solve_tiling(capsys, checker, ["w", "k", "w", "k"])[0] == 3
     monkeypatch.setenv("HOMFORGE_GUARD", "256")
     assert _solve_tiling(capsys, checker, ["w", "k", "w", "k"])[0] == 0
+
+
+def test_solve_tiling_checks_its_witness_under_the_guard(tmp_path, capsys, monkeypatch):
+    guards = []
+
+    def spy(inst, hom, guard=DEFAULT_PRODUCT_GUARD):
+        guards.append(guard)
+        validate_php_witness(inst, hom, guard)
+
+    monkeypatch.setattr(tiling, "validate_php_witness", spy)
+    monkeypatch.setenv("HOMFORGE_GUARD", "2000000")
+    assert _solve_tiling(capsys, _checker_file(tmp_path), ["w", "k"])[0] == 0
+    assert guards == [2000000]
