@@ -22,6 +22,7 @@ from . import cqdef, normalform, tiling
 from .core import (
     DEFAULT_PRODUCT_GUARD,
     PhpInstance,
+    check_guard,
     element_label,
     load_json,
     load_structure,
@@ -130,10 +131,7 @@ def cmd_solve_tiling(args):
     m = inst.m
     # the encoded product has 4^m elements; checked here because encoding
     # alone grows faster than m^2
-    if 4**m > args.guard:
-        raise GuardExceededError(
-            f"product domain would have 4^{m} elements (guard {args.guard})", 4**m
-        )
+    check_guard(4**m, args.guard, f"product domain would have 4^{m} elements")
     php = encode_tiling_php(inst)
     n = 2**m
     # every cell, row-major, so the first solution is the least grid in that
@@ -151,14 +149,14 @@ def cmd_solve_tiling(args):
 
 def cmd_reduce_single_rel(args):
     inst = _load_instance(args)
-    out = normalform.single_relation_transform(inst)
+    out = normalform.single_relation_transform(inst, args.guard)
     files = _write_instance(out, args.out_dir)
     return EXIT_YES, {"files": files}
 
 
 def cmd_reduce_digraph(args):
     inst = _load_instance(args)
-    out = normalform.digraph_transform(inst)
+    out = normalform.digraph_transform(inst, args.guard)
     files = _write_instance(out, args.out_dir)
     return EXIT_YES, {"files": files}
 

@@ -83,9 +83,6 @@ class Signature:
     def names(self):
         return [n for n, _ in self.relations]
 
-    def as_dict(self):
-        return dict(self.relations)
-
 
 @dataclass(frozen=True, init=False)
 class Structure:
@@ -222,6 +219,16 @@ def digraph(domain, edges):
     return Structure(Signature((("E", 2),)), tuple(domain), {"E": tuple(edges)})
 
 
+def check_guard(count, guard, what):
+    """Raise GuardExceededError when count exceeds guard; what describes the count.
+
+    The one place that compares a size with the guard: every step that
+    multiplies sizes calls it before it builds anything.
+    """
+    if count > guard:
+        raise GuardExceededError(f"{what} (guard {guard})", count)
+
+
 def _require_shared_signature(structures):
     sig = structures[0].signature
     for s in structures[1:]:
@@ -237,10 +244,7 @@ def product_domain(factors, guard=DEFAULT_PRODUCT_GUARD):
     GuardExceededError before any tuple is built.
     """
     size = math.prod(len(f.domain) for f in factors)
-    if size > guard:
-        raise GuardExceededError(
-            f"product domain would have {size} elements (guard {guard})", size
-        )
+    check_guard(size, guard, f"product domain would have {size} elements")
     return itertools.product(*(f.domain for f in factors))
 
 
@@ -265,11 +269,7 @@ def product(factors, guard=DEFAULT_PRODUCT_GUARD):
     elements = product_domain(factors, guard)
     for name in sig.names():
         combos = math.prod(len(f.rows[name]) for f in factors)
-        if combos > guard:
-            raise GuardExceededError(
-                f"product relation {name!r} would have {combos} tuples (guard {guard})",
-                combos,
-            )
+        check_guard(combos, guard, f"product relation {name!r} would have {combos} tuples")
     domain = tuple(elements)
     rows = {}
     for name, arity in sig.relations:
@@ -362,8 +362,6 @@ def structure_from_dict(data):
     if not isinstance(data, dict) or "domain" not in data or "relations" not in data:
         raise InvalidStructureError("structure file needs 'domain' and 'relations'")
     domain = string_list(data["domain"], "'domain'")
-    if len(set(domain)) != len(domain):
-        raise InvalidStructureError("duplicate domain elements")
     relations = data["relations"]
     if not isinstance(relations, dict):
         raise InvalidStructureError("'relations' must be an object")
@@ -374,7 +372,7 @@ def structure_from_dict(data):
         if not isinstance(spec, dict) or "arity" not in spec or "tuples" not in spec:
             raise InvalidStructureError(f"relation {name!r} needs 'arity' and 'tuples'")
         arity = spec["arity"]
-        if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
+        if not isinstance(arity, int) or isinstance(arity, bool):
             raise InvalidStructureError(f"relation {name!r} has bad arity {arity!r}")
         tuples = string_rows(spec["tuples"], f"the tuples of {name!r}")
         seen = set()

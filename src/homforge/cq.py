@@ -53,24 +53,14 @@ class ConjunctiveQuery:
         return self.free_vars + self.bound_vars
 
 
-def check_well_formed(q, sig):
-    """Verify every atom matches the signature's relation names and arities."""
-    arities = sig.as_dict()
-    for name, vs in q.atoms:
-        if name not in arities:
-            raise InvalidStructureError(f"atom relation {name!r} not in signature")
-        if len(vs) != arities[name]:
-            raise InvalidStructureError(
-                f"atom {name}{vs!r} has {len(vs)} variables, arity is {arities[name]}"
-            )
-
-
 def canonical_structure(q, sig):
-    """One element per variable, one tuple per atom, pointed at the free tuple."""
-    check_well_formed(q, sig)
-    interp = {name: [] for name in sig.names()}
+    """One element per variable, one tuple per atom, pointed at the free tuple.
+
+    Structure rejects an atom whose relation is not in sig or whose arity is wrong.
+    """
+    interp = {}
     for name, vs in q.atoms:
-        interp[name].append(vs)
+        interp.setdefault(name, []).append(vs)
     s = Structure(sig, tuple(set(q.variables())), interp)
     return PointedStructure(s, q.free_vars)
 

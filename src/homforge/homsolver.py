@@ -42,8 +42,8 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 
-from .core import DEFAULT_PRODUCT_GUARD, Homomorphism, product
-from .errors import GuardExceededError, SignatureMismatchError
+from .core import DEFAULT_PRODUCT_GUARD, Homomorphism, check_guard, product
+from .errors import SignatureMismatchError
 
 
 @dataclass(frozen=True)
@@ -288,10 +288,7 @@ def image_witnesses(source, target, guard=DEFAULT_PRODUCT_GUARD):
     GuardExceededError before the search.
     """
     candidates = len(target.domain) ** len(source.distinguished)
-    if candidates > guard:
-        raise GuardExceededError(
-            f"image would have {candidates} candidate tuples (guard {guard})", candidates
-        )
+    check_guard(candidates, guard, f"image would have {candidates} candidate tuples")
     csp = _Csp(source.structure, target)
     dist = [source.structure.rank[e] for e in source.distinguished]
     return {

@@ -1,12 +1,15 @@
+import importlib
 import json
 import os
+import pkgutil
 import shlex
 import subprocess
 import sys
 
 import pytest
 
-from homforge import cli
+import homforge
+from homforge import cli, core
 from homforge.core import (
     Homomorphism,
     digraph,
@@ -145,6 +148,82 @@ def test_bad_guard_value_exit_2(files, value):
         r = run_cli(*argv, env=env)
         assert r.returncode == 2
         assert "HOMFORGE_GUARD" in json.loads(r.stdout)["error"]
+
+
+def test_reduce_steps_guard_their_quadratic_relations(tmp_path, monkeypatch, capsys):
+    # a directed 40-cycle: the star merge builds 40 * 41 = 1640 tuples and
+    # the first-coordinate pad 40 * 40 = 1600, both past a guard of 1000
+    nodes = [f"v{i}" for i in range(40)]
+    cycle = tmp_path / "cycle.json"
+    save_structure(digraph(nodes, zip(nodes, nodes[1:] + nodes[:1])), cycle)
+    errors = {
+        "single-rel": "merged relation would have 1640 tuples (guard 1000)",
+        "digraph": "padded relation would have 1600 tuples (guard 1000)",
+    }
+    for step, error in errors.items():
+        argv = ["reduce", step, str(cycle), "--target", str(cycle)]
+        monkeypatch.setenv("HOMFORGE_GUARD", "1000")
+        assert cli.main([*argv, "--out-dir", str(tmp_path / "guarded")]) == 3
+        assert json.loads(capsys.readouterr().out) == {"error": error}
+        assert not (tmp_path / "guarded").exists()
+        monkeypatch.delenv("HOMFORGE_GUARD")
+        assert cli.main([*argv, "--out-dir", str(tmp_path / step)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["files"]) == 2
+
+
+def test_every_size_check_sees_the_guard(files, monkeypatch, capsys):
+    # every module that binds core.check_guard, so a new caller is spied on too
+    modules = [
+        importlib.import_module(f"homforge.{info.name}")
+        for info in pkgutil.iter_modules(homforge.__path__)
+    ]
+    real = core.check_guard
+    guards = []
+
+    def spy(count, guard, what):
+        guards.append(guard)
+        real(count, guard, what)
+
+    for module in modules:
+        if getattr(module, "check_guard", None) is real:
+            monkeypatch.setattr(module, "check_guard", spy)
+    monkeypatch.setenv("HOMFORGE_GUARD", "123457")
+    edge, loop = str(files / "edge.json"), str(files / "loop.json")
+    query = files / "q.json"
+    query.write_text(json.dumps({"free": ["x"], "bound": [], "atoms": [["E", ["x", "x"]]]}))
+    relation = files / "s.json"
+    relation.write_text(json.dumps([["v"]]))
+    for argv in (
+        ("check-hom", edge, "--target", loop),
+        ("product", edge, edge),
+        ("solve-tiling", "--system", str(files / "sys.json"), "--prefix", "t"),
+        ("reduce", "single-rel", edge, "--target", loop, "--out-dir", str(files / "sr")),
+        ("reduce", "digraph", edge, "--target", loop, "--out-dir", str(files / "dg")),
+        ("cq", "eval", str(query), edge),
+        ("cqdef", "check", loop, "--relation", str(relation)),
+    ):
+        guards.clear()
+        assert cli.main(list(argv)) in (0, 1), capsys.readouterr().out
+        capsys.readouterr()
+        assert guards, argv
+        assert set(guards) == {123457}, argv
+
+
+@pytest.mark.parametrize(
+    "atom, error",
+    [
+        (["F", ["x", "x"]], "relations not in signature: ['F']"),
+        (["E", ["x"]], "tuple ('x',) in 'E' has length 1, arity is 2"),
+    ],
+    ids=["unknown-relation", "wrong-arity"],
+)
+def test_query_atom_outside_the_signature_exits_2(files, capsys, atom, error):
+    # Structure checks the canonical structure's relations and arities
+    query = files / "q.json"
+    query.write_text(json.dumps({"free": ["x"], "bound": [], "atoms": [atom]}))
+    for command in ("eval", "canonical"):
+        assert cli.main(["cq", command, str(query), str(files / "edge.json")]) == 2
+        assert json.loads(capsys.readouterr().out) == {"error": error}
 
 
 def test_cq_eval_image_guard_exit_3(files):

@@ -177,6 +177,7 @@ def test_product_guard_reports_cardinality():
     with pytest.raises(GuardExceededError) as exc:
         product([big, big], guard=50)
     assert exc.value.cardinality == 100
+    assert str(exc.value) == "product domain would have 100 elements (guard 50)"
 
 
 def test_product_relation_guard_fires_before_the_domain_is_enumerated(monkeypatch):
@@ -202,7 +203,7 @@ def test_product_relation_guard_fires_before_the_domain_is_enumerated(monkeypatc
     with pytest.raises(GuardExceededError) as exc:
         product([complete, complete], guard=100)
     assert exc.value.cardinality == 256
-    assert "'E'" in str(exc.value)
+    assert str(exc.value) == "product relation 'E' would have 256 tuples (guard 100)"
     assert not enumerated
 
 
@@ -326,7 +327,7 @@ def test_binarize_unary_definition():
     sig = Signature((("P", 1), ("E", 2)))
     s = Structure(sig, ("a", "b"), {"P": (("a",),), "E": ()})
     b = binarize_unary(s)
-    assert b.signature.as_dict()["P"] == 2
+    assert dict(b.signature.relations)["P"] == 2
     assert b.relation("P") == (("a", "a"),)
     # no unary relations: unchanged
     assert binarize_unary(ONE_EDGE) == ONE_EDGE
@@ -368,8 +369,11 @@ def test_parse_rejects_bad_files():
         parse("not json")
     with pytest.raises(InvalidStructureError):
         parse('{"domain": ["a"]}')
-    with pytest.raises(InvalidStructureError):
-        parse('{"domain": ["a", "a"], "relations": {}}')
+    # the reader leaves domain and arity checks to Structure and Signature
+    with pytest.raises(InvalidStructureError, match="^duplicate domain element 'a'$"):
+        parse('{"domain": ["b", "a", "a"], "relations": {}}')
+    with pytest.raises(InvalidStructureError, match="^arity of 'E' must be >= 1, got 0$"):
+        parse('{"domain": ["a"], "relations": {"E": {"arity": 0, "tuples": []}}}')
     with pytest.raises(InvalidStructureError):
         parse(
             '{"domain": ["a"], "relations":'

@@ -110,6 +110,7 @@ def test_evaluate_guards_the_image_candidates():
     with pytest.raises(GuardExceededError) as exc:
         evaluate(q, complete, guard=999)
     assert exc.value.cardinality == 1000
+    assert str(exc.value) == "image would have 1000 candidate tuples (guard 999)"
     assert len(evaluate(q, complete)) == 1000
 
 

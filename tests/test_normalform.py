@@ -75,6 +75,12 @@ def test_merge_relations_definition():
     assert len(merged.relation("R")) == len(star.relation("P")) * len(
         star.relation("R")
     )
+    # |P| = 2 and |R| = 3
+    assert merge_relations(star, guard=6) == merged
+    with pytest.raises(GuardExceededError) as exc:
+        merge_relations(star, guard=5)
+    assert exc.value.cardinality == 6
+    assert str(exc.value) == "merged relation would have 6 tuples (guard 5)"
 
 
 def test_merge_requires_two_relations():
@@ -171,6 +177,11 @@ def test_pad_first_coordinate_definition():
     assert set(padded.relation("E")) == {("a", "a", "b"), ("b", "a", "b")}
     # first-coordinate projection is the full domain
     assert {t[0] for t in padded.relation("E")} == set(s.domain)
+    assert pad_first_coordinate(s, guard=2) == padded
+    with pytest.raises(GuardExceededError) as exc:
+        pad_first_coordinate(s, guard=1)
+    assert exc.value.cardinality == 2
+    assert str(exc.value) == "padded relation would have 2 tuples (guard 1)"
 
 
 def test_pad_preserves_php():

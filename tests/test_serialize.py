@@ -82,7 +82,7 @@ def test_serialize_is_the_json_dumps_text(out, s):
         "domain": [element_label(e) for e in s.domain],
         "relations": {
             name: {
-                "arity": s.signature.as_dict()[name],
+                "arity": dict(s.signature.relations)[name],
                 "tuples": [[element_label(c) for c in t] for t in s.relation(name)],
             }
             for name in sorted(s.signature.names())

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import itertools
 import json
@@ -317,7 +318,13 @@ def test_solve_tiling_guard_fires_before_encoding(tmp_path, capsys, monkeypatch)
         assert code == 3 and "4^1000" in payload["error"]
     # checkerboard m=4 has 256 product elements
     monkeypatch.setenv("HOMFORGE_GUARD", "255")
-    assert _solve_tiling(capsys, checker, ["w", "k", "w", "k"])[0] == 3
+    code, payload = _solve_tiling(capsys, checker, ["w", "k", "w", "k"])
+    assert code == 3
+    assert payload == {"error": "product domain would have 4^4 elements (guard 255)"}
+    args = argparse.Namespace(system=str(checker), prefix=["w", "k", "w", "k"], guard=255)
+    with pytest.raises(GuardExceededError) as exc:
+        cli.cmd_solve_tiling(args)
+    assert exc.value.cardinality == 256
     monkeypatch.setenv("HOMFORGE_GUARD", "256")
     assert _solve_tiling(capsys, checker, ["w", "k", "w", "k"])[0] == 0
 
