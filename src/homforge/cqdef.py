@@ -6,6 +6,9 @@ distinguished tuple outside S.  When it can, that homomorphism is a
 certificate of non-definability (conjunctive queries are preserved by
 homomorphisms); when it cannot, the canonical query of the pointed product
 is a defining query, unless a distinguished element occurs in no tuple.
+The product's projections map its distinguished tuple onto every tuple of
+S, so tuples of S never refute definability and the search never looks
+below them: only images outside S are searched for.
 Queries here are safe: every free variable occurs in an atom.  A safe q
 with S within q(I) maps into the pointed product, its j-th free variable
 going to the j-th distinguished element, which then lies in a tuple; so an
@@ -79,18 +82,20 @@ def decide_cq_definability(instance, s_tuples, guard=DEFAULT_PRODUCT_GUARD):
     Returns Definable with an unminimized defining query, or NotDefinable
     with the least image tuple outside S, in the order of the instance's
     domain ranks, and a validating homomorphism from the pointed product
-    sending the distinguished tuple there.  When the image is S but a
+    sending the distinguished tuple there.  The search skips the tuples of
+    S, which the projections already witness, so it only looks for images
+    that can refute definability.  When the image is S but a
     distinguished element occurs in no tuple, NotDefinable names its
     position instead.  A pointed product with more than
     guard elements or tuples per relation, or more than guard candidate
     image tuples, raises GuardExceededError.
     """
     s_set, pointed = _pointed_product(instance, s_tuples, guard)
-    # image_witnesses lists the images in lexicographic order of their ranks
-    for image, hom in image_witnesses(pointed, instance, guard=guard).items():
-        if image not in s_set:
-            return NotDefinable(image, hom)
-    # image always contains S (projection homomorphisms), so image == S here
+    # image_witnesses lists the images outside S in lexicographic order of their ranks
+    outside = image_witnesses(pointed, instance, guard=guard, known=s_set)
+    for image, hom in outside.items():
+        return NotDefinable(image, hom)
+    # image always contains S, so image == S here
     pointed_product = pointed.structure
     used = {v for rows in pointed_product.rows.values() for row in rows for v in row}
     for j, d in enumerate(pointed.distinguished):

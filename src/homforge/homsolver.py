@@ -17,6 +17,17 @@ position's domain still supports and keeps the values that meet a live row,
 in the manner of Compact-Table (Demeulenaere et al., CP 2016) under an AC-3
 queue (Mackworth 1977).
 
+A revision's outcome depends only on the table, the scope's repeat pattern
+and the scope's domains, and in a product thousands of constraints share
+one table and meet the same domains.  So a table over at least
+MEMO_MIN_VALUES target elements keeps a memo keyed on (the pattern's id,
+those domains) that holds the revised domains, "none narrowed" or a
+wipeout; a hit replaces the revision, and a miss revises as above and
+records the result.  Below the gate a revision is as cheap as a lookup, and
+the memo does not repay the key getter each constraint then builds and
+holds.  A memo that reaches MEMO_LIMIT entries is emptied before the next
+one is recorded.
+
 There is one search, _Csp.search(prefix).  It propagates at the root, then
 keeps a single domain list, records every domain change on a trail and
 undoes it on backtrack; an explicit stack replaces recursion, so depth is
@@ -32,7 +43,9 @@ solution only.  The callers differ only in the prefix:
   passes no prefix; solve-tiling passes every grid cell in row-major order,
   so the first solution is the least tiling in that order;
 - image_witnesses: the distinguished elements, so one witness per
-  achievable image tuple, in lexicographic order of the tuples.
+  achievable image tuple, in lexicographic order of the tuples; the tuples
+  the caller already knows are backtracked from as soon as they are
+  assigned, without a search below them.
 
 Every choice point is fixed and the arc-consistent fixpoint is unique, so
 results are deterministic.
@@ -41,9 +54,17 @@ results are deterministic.
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import DEFAULT_PRODUCT_GUARD, Homomorphism, check_guard, product
 from .errors import SignatureMismatchError
+
+# a table over at least this many target elements memoizes its revisions:
+# over two values (the checkerboard tiling) the memo saved little or no time
+# and added 5-8% to peak memory; over three (K3) a search took a third less
+MEMO_MIN_VALUES = 3
+# entries a table's memo holds before it is emptied
+MEMO_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -68,7 +89,13 @@ class _Table:
                 self.support[p][val] |= bit
         # per position, domain bitset -> (rows it supports, ((value bit, rows), ...))
         self.cache = [{} for _ in range(arity)]
-        self._eq = {}
+        # repeat pattern (the first position of each position's variable) ->
+        # (its id, the rows that agree wherever it repeats a variable)
+        self.patterns = {tuple(range(arity)): (0, self.full)}
+        # (pattern id, the scope's domains) -> the revised domains of its
+        # distinct variables, True when none narrows, False for a wipeout;
+        # None where revising is cheaper than a lookup
+        self.memo = {} if n_values >= MEMO_MIN_VALUES else None
 
     def entry(self, p, dom):
         """The cache entry of domain dom at position p, computed on first use."""
@@ -86,16 +113,16 @@ class _Table:
         entry = self.cache[p][dom] = (rows, tuple(pairs))
         return entry
 
-    def agreeing(self, pattern):
-        """Rows whose positions agree wherever pattern (first position per variable) does."""
-        mask = self._eq.get(pattern)
-        if mask is None:
+    def pattern(self, pattern):
+        """The id of a repeat pattern and the rows that agree wherever it does."""
+        entry = self.patterns.get(pattern)
+        if entry is None:
             mask = 0
             for r, row in enumerate(self.rows):
                 if all(row[p] == row[q] for p, q in enumerate(pattern)):
                     mask |= 1 << r
-            self._eq[pattern] = mask
-        return mask
+            entry = self.patterns[pattern] = (len(self.patterns), mask)
+        return entry
 
 
 class _Csp:
@@ -107,7 +134,8 @@ class _Csp:
         self.source_domain = source.domain
         self.values = target.domain
         # constraint: (table, scope of variables, rows allowed by the scope's
-        # repeats, ((variable, its first position), ...))
+        # repeats, ((variable, its first position), ...), repeat pattern id,
+        # getter of the scope's domains or None without a memo)
         self.cons = []
         self.var_cons = [[] for _ in source.domain]
         for name, arity in source.signature.relations:
@@ -119,11 +147,12 @@ class _Csp:
                 for p, v in enumerate(scope):
                     first.setdefault(v, p)
                 if len(first) == arity:
-                    eq = table.full
+                    pid, eq = 0, table.full
                 else:
-                    eq = table.agreeing(tuple(first[v] for v in scope))
+                    pid, eq = table.pattern(tuple(first[v] for v in scope))
+                doms = None if table.memo is None else itemgetter(*scope)
                 ci = len(self.cons)
-                self.cons.append((table, scope, eq, tuple(first.items())))
+                self.cons.append((table, scope, eq, tuple(first.items()), pid, doms))
                 for v in first:
                     self.var_cons[v].append(ci)
         self.dom = [(1 << len(target.domain)) - 1] * len(source.domain)
@@ -151,7 +180,31 @@ class _Csp:
         while queue:
             ci = queue.popleft()
             queued[ci] = 0
-            table, scope, live, first = cons[ci]
+            table, scope, live, first, pid, doms = cons[ci]
+            if doms is not None:
+                memo = table.memo
+                key = (pid, doms(dom))
+                revised = memo.get(key)
+                if revised is not None:
+                    if revised is True:
+                        continue
+                    if revised is False:
+                        for cj in queue:
+                            queued[cj] = 0
+                        return False
+                    for (v, _), nd in zip(first, revised):
+                        d = dom[v]
+                        if nd != d:
+                            trail.append((v, d))
+                            dom[v] = nd
+                            for cj in var_cons[v]:
+                                if not queued[cj] and cj != ci:
+                                    queued[cj] = 1
+                                    queue.append(cj)
+                    continue
+                if len(memo) >= MEMO_LIMIT:
+                    memo.clear()
+                mark = len(trail)
             cache = table.cache
             for p, v in enumerate(scope):
                 d = dom[v]
@@ -160,6 +213,8 @@ class _Csp:
                     entry = table.entry(p, d)
                 live &= entry[0]
                 if not live:
+                    if doms is not None:
+                        memo[key] = False
                     for cj in queue:
                         queued[cj] = 0
                     return False
@@ -177,9 +232,11 @@ class _Csp:
                         if not queued[cj] and cj != ci:
                             queued[cj] = 1
                             queue.append(cj)
+            if doms is not None:
+                memo[key] = tuple([dom[v] for v, _ in first]) if len(trail) > mark else True
         return True
 
-    def search(self, prefix=()):
+    def search(self, prefix=(), skip=()):
         """Yield, per assignment of the prefix variables, its first solution.
 
         Root propagation runs first.  The distinct variables of prefix are
@@ -188,12 +245,17 @@ class _Csp:
         variable, reused between solutions.  After each solution the search
         backtracks to the last prefix variable, so with an empty prefix it
         yields at most one solution and with every variable in the prefix it
-        yields all of them, in lexicographic order.
+        yields all of them, in lexicographic order.  A prefix assignment
+        whose values, read along prefix, form a tuple in skip is backtracked
+        from as soon as it is made; undoing it restores the state its
+        successors start from, so the other solutions do not change.
         """
         dom, trail = self.dom, self.trail
         n = len(dom)
         value = [-1] * n
         if not self.propagate(range(len(self.cons))):
+            return
+        if not prefix and () in skip:
             return
         if n == 0:
             yield value
@@ -241,6 +303,8 @@ class _Csp:
             # each fully assigned scope holds without checking it
             if not self.pin(var, low):
                 continue
+            if skip and len(stack) == depth and tuple([value[v] for v in prefix]) in skip:
+                continue
             for i in range(mark, len(trail)):
                 v = trail[i][0]
                 heapq.heappush(heap, (dom[v].bit_count(), v))
@@ -277,23 +341,29 @@ def image_set(source, target, guard=DEFAULT_PRODUCT_GUARD):
     return set(image_witnesses(source, target, guard))
 
 
-def image_witnesses(source, target, guard=DEFAULT_PRODUCT_GUARD):
-    """Map from each achievable image tuple to one witnessing homomorphism.
+def image_witnesses(source, target, guard=DEFAULT_PRODUCT_GUARD, known=()):
+    """Map from each achievable image tuple outside known to one witnessing homomorphism.
 
     The search takes the distinguished elements as its prefix, so the
     candidate tuples are walked in lexicographic order of their target
     ranks, a prefix that wipes out skips all of its extensions, and each
-    achievable tuple is keyed to its first solution.  More than guard
-    candidate tuples (|target|^k for k distinguished elements) raise
-    GuardExceededError before the search.
+    achievable tuple is keyed to its first solution.  known holds tuples of
+    target elements the caller already has witnesses for: the search
+    backtracks as soon as the distinguished elements are assigned one of
+    them, so they are never searched below, and the other keys and their
+    witnesses are those of the full map.  More than guard candidate tuples
+    (|target|^k for k distinguished elements) raise GuardExceededError
+    before the search.
     """
     candidates = len(target.domain) ** len(source.distinguished)
     check_guard(candidates, guard, f"image would have {candidates} candidate tuples")
     csp = _Csp(source.structure, target)
     dist = [source.structure.rank[e] for e in source.distinguished]
+    rank = target.rank
+    skip = {tuple([rank[c] for c in t]) for t in known}
     return {
         tuple(target.domain[value[v]] for v in dist): csp.homomorphism(value)
-        for value in csp.search(dist)
+        for value in csp.search(dist, skip)
     }
 
 

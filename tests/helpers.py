@@ -46,6 +46,48 @@ def exhaustive_homs(source, target):
     return out
 
 
+def reference_gac(source, target, domains=None):
+    """The generalized arc-consistent domains of source into target, by the definition.
+
+    domains maps every source element to its candidate target elements (all
+    of them when None).  A target tuple supports a source tuple of the same
+    relation when each position's value lies in that position's domain and
+    positions holding one element hold one value.  Until nothing changes,
+    every element keeps only the values that every source tuple holding it
+    gets from a support, at the element's positions.  Returns the fixpoint
+    as element -> set of values, or None once a domain is empty.
+    """
+    dom = {
+        x: set(target.domain) if domains is None else set(domains[x])
+        for x in source.domain
+    }
+    changed = True
+    while changed:
+        changed = False
+        for name in source.signature.names():
+            rows = target.relation(name)
+            for scope in source.relation(name):
+                supports = [
+                    t
+                    for t in rows
+                    if all(t[p] in dom[x] for p, x in enumerate(scope))
+                    and all(
+                        t[p] == t[q]
+                        for p, x in enumerate(scope)
+                        for q, y in enumerate(scope)
+                        if x == y
+                    )
+                ]
+                for p, x in enumerate(scope):
+                    kept = dom[x] & {t[p] for t in supports}
+                    if kept != dom[x]:
+                        dom[x] = kept
+                        changed = True
+                        if not kept:
+                            return None
+    return dom
+
+
 def exhaustive_hom_exists(source, target):
     for _ in exhaustive_homs(source, target):
         return True

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from homforge.core import PhpInstance, digraph, product
+from homforge.core import PhpInstance, PointedStructure, digraph, product
 from homforge.cq import evaluate
 from homforge.cqdef import (
     Definable,
@@ -17,11 +17,12 @@ from homforge.errors import (
     InvalidStructureError,
     SignatureMismatchError,
 )
-from homforge.homsolver import decide_php
+from homforge.homsolver import decide_php, image_witnesses
 from homforge.normalform import digraph_transform
 
 import helpers
 from paper_objects import audit_apex_paths
+from test_acceptance import _tiny_single_relation_corpus
 
 
 LOOP = digraph(("v",), (("v", "v"),))
@@ -149,6 +150,69 @@ def test_witness_tuple_is_the_least_image_outside_s():
         validate_not_definable(s, s_rows, verdict)
         checked += 1
     assert checked >= 10
+
+
+def _pointed(instance, s_rows):
+    """The pointed product of instance over S, built as decide_cq_definability builds it."""
+    s_sorted = sorted(set(s_rows), key=lambda t: tuple(instance.rank[c] for c in t))
+    distinguished = tuple(zip(*s_sorted))
+    return PointedStructure(product([instance] * len(s_sorted)), distinguished)
+
+
+def _reference_verdict(instance, s_rows):
+    """The least image outside S of the full image map, or None when there is none."""
+    images = image_witnesses(_pointed(instance, s_rows), instance)
+    for image, hom in images.items():
+        if image not in set(s_rows):
+            return image, hom
+    return None
+
+
+def _same_verdict(instance, s_rows):
+    verdict = decide_cq_definability(instance, s_rows)
+    expected = _reference_verdict(instance, s_rows)
+    if expected is None:
+        assert not isinstance(verdict, NotDefinable) or verdict.witness_hom is None
+    else:
+        assert isinstance(verdict, NotDefinable)
+        assert verdict.witness_tuple == expected[0]
+        assert verdict.witness_hom.mapping == expected[1].mapping
+
+
+def test_skipping_s_changes_no_answer():
+    # the search never looks below a tuple of S; the images outside S, their
+    # order and their witnesses are those of the full search
+    rng = random.Random(404)
+    skipped = 0
+    for _ in range(60):
+        sig = helpers.random_signature(rng, max_relations=2, max_arity=2)
+        size = rng.randint(1, 3)
+        instance = helpers.random_structure(rng, sig, max_dom=3 if size < 3 else 2)
+        k = rng.randint(1, 2)
+        s_rows = [tuple(rng.choice(instance.domain) for _ in range(k)) for _ in range(size)]
+        if rng.random() < 0.4:
+            s_rows[-1] = (s_rows[0][0],) * k  # a tuple that repeats a coordinate
+        pointed = _pointed(instance, s_rows)
+        full = image_witnesses(pointed, instance)
+        outside = image_witnesses(pointed, instance, known=set(s_rows))
+        dist = pointed.distinguished
+        oracle = {
+            tuple(h[d] for d in dist)
+            for h in helpers.exhaustive_homs(pointed.structure, instance)
+        }
+        rank = instance.rank
+        assert list(outside) == sorted(
+            oracle - set(s_rows), key=lambda t: tuple(rank[c] for c in t)
+        )
+        assert list(outside) == [t for t in full if t not in set(s_rows)]
+        for image, hom in outside.items():
+            assert hom.mapping == full[image].mapping
+        skipped += len(full) - len(outside)
+        _same_verdict(instance, s_rows)
+    assert skipped >= 60  # every S tuple is an image, so each case skips one
+    for inst in _tiny_single_relation_corpus():
+        red = reduce_php_to_nondefinability(digraph_transform(inst))
+        _same_verdict(red.structure, red.s_tuples)
 
 
 def test_binary_s_supported():

@@ -12,8 +12,10 @@ from homforge.core import (
     digraph,
     product,
 )
+from homforge import homsolver
 from homforge.errors import SignatureMismatchError
 from homforge.homsolver import (
+    _Csp,
     decide_php,
     find_homomorphism,
     image_set,
@@ -101,16 +103,22 @@ def test_image_set_no_constraints_is_whole_domain():
     }
 
 
-def _check_image_witnesses(src, tgt, dist):
-    """image_witnesses against the exhaustive oracle: keys, key order and witnesses."""
-    witnesses = image_witnesses(PointedStructure(src, dist), tgt)
+def _check_image_witnesses(src, tgt, dist, known=()):
+    """image_witnesses against the exhaustive oracle: keys, key order and witnesses.
+
+    With known, the keys are the images outside known, and each keeps the
+    witness the search without known finds for it.
+    """
+    witnesses = image_witnesses(PointedStructure(src, dist), tgt, known=known)
     images = {tuple(m[d] for d in dist) for m in helpers.exhaustive_homs(src, tgt)}
     assert list(witnesses) == sorted(
-        images, key=lambda t: tuple(tgt.domain.index(c) for c in t)
+        images - set(known), key=lambda t: tuple(tgt.domain.index(c) for c in t)
     )
+    full = image_witnesses(PointedStructure(src, dist), tgt) if known else witnesses
     for key, hom in witnesses.items():
         hom.validate(src, tgt)
         assert tuple(hom(d) for d in dist) == key
+        assert hom.mapping == full[key].mapping
     return witnesses
 
 
@@ -122,7 +130,11 @@ def test_image_witnesses_match_the_oracle():
         tgt = helpers.random_structure(rng, sig, max_dom=3)
         x, y = rng.choice(src.domain), rng.choice(src.domain)
         for dist in ((), (x,), (x, x), (y, x), (x, y, x)):
-            _check_image_witnesses(src, tgt, dist)
+            images = list(_check_image_witnesses(src, tgt, dist))
+            # known tuples: some images, and a tuple that may be no image
+            known = set(rng.sample(images, rng.randint(0, len(images))))
+            known.add(tuple(rng.choice(tgt.domain) for _ in dist))
+            _check_image_witnesses(src, tgt, dist, known)
 
 
 def test_image_witnesses_repeated_empty_and_wiped_out():
@@ -140,6 +152,94 @@ def test_image_witnesses_repeated_empty_and_wiped_out():
     looped = digraph(("x", "y"), (("x", "x"), ("x", "y")))
     for dist in ((), ("y",), ("x", "x")):
         assert _check_image_witnesses(looped, two, dist) == {}
+
+
+def _gated_corpus(rng, count):
+    """Random structures with binary and ternary scopes into targets the memo gates on.
+
+    The source's tuples include the scopes (x, y), (x, x), (x, y, x),
+    (x, x, y), (x, y, y) and (x, y, z), so each target table is shared by
+    scopes of several repeat patterns over equal domains.
+    """
+    sig = Signature((("E", 2), ("T", 3)))
+    patterns = ((0, 1), (0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2))
+    for _ in range(count):
+        src_dom = tuple(f"x{i}" for i in range(rng.randint(3, 6)))
+        interp = {"E": [], "T": []}
+        for _ in range(rng.randint(3, 8)):
+            pattern = rng.choice(patterns)
+            picked = rng.sample(src_dom, 3)
+            interp["E" if len(pattern) == 2 else "T"].append(
+                tuple(picked[i] for i in pattern)
+            )
+        source = Structure(sig, src_dom, interp)
+        n = homsolver.MEMO_MIN_VALUES + rng.randint(5, 8)
+        tgt_dom = tuple(f"v{i}" for i in range(n))
+        target = Structure(
+            sig,
+            tgt_dom,
+            {
+                "E": [t for t in itertools.product(tgt_dom, repeat=2) if rng.random() < 0.4],
+                "T": [t for t in itertools.product(tgt_dom, repeat=3) if rng.random() < 0.15],
+            },
+        )
+        yield source, target
+
+
+def _domains(csp, source):
+    return {
+        x: {csp.values[i] for i in range(len(csp.values)) if csp.dom[r] >> i & 1}
+        for r, x in enumerate(source.domain)
+    }
+
+
+def test_memoized_revisions_reach_the_reference_fixpoint():
+    # the memo is shared by every constraint on a table, so a key that left
+    # out the repeat pattern would hand (x, y, x) the revision of (x, x, y)
+    rng = random.Random(8)
+    consistent = memoized = 0
+    for source, target in _gated_corpus(rng, 80):
+        csp = _Csp(source, target)
+        ok = csp.propagate(range(len(csp.cons)))
+        expected = helpers.reference_gac(source, target)
+        assert ok == (expected is not None)
+        memoized += sum(len(c[0].memo) for c in csp.cons)
+        if not ok:
+            continue
+        consistent += 1
+        assert _domains(csp, source) == expected
+        # one assignment more, propagated over the memo the root filled
+        x = rng.choice(source.domain)
+        value = rng.choice(sorted(expected[x], key=target.rank.get))
+        pinned = csp.pin(source.rank[x], 1 << target.rank[value])
+        expected = helpers.reference_gac(source, target, {**expected, x: {value}})
+        assert pinned == (expected is not None)
+        if pinned:
+            assert _domains(csp, source) == expected
+    assert consistent >= 20 and memoized > 0
+
+
+def test_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(homsolver, "MEMO_LIMIT", 8)
+    rng = random.Random(12)
+    emptied = 0
+    for source, target in _gated_corpus(rng, 10):
+        prefix = list(range(min(3, len(source.domain))))
+        csp = _Csp(source, target)
+        tables = {id(c[0]): c[0] for c in csp.cons}.values()
+        solutions = []
+        sizes = [0] * len(tables)
+        for value in csp.search(prefix):
+            solutions.append(list(value))
+            for i, table in enumerate(tables):
+                assert len(table.memo) <= homsolver.MEMO_LIMIT
+                emptied += len(table.memo) < sizes[i]
+                sizes[i] = len(table.memo)
+        # the bound changes no answer
+        with monkeypatch.context() as m:
+            m.setattr(homsolver, "MEMO_LIMIT", 1 << 16)
+            assert [list(v) for v in _Csp(source, target).search(prefix)] == solutions
+    assert emptied > 0
 
 
 def test_decide_php_identity():
