@@ -93,8 +93,8 @@ def decide_cq_definability(instance, s_tuples, guard=DEFAULT_PRODUCT_GUARD):
     s_set, pointed = _pointed_product(instance, s_tuples, guard)
     # image_witnesses lists the images outside S in lexicographic order of their ranks
     outside = image_witnesses(pointed, instance, guard=guard, known=s_set)
-    for image, hom in outside.items():
-        return NotDefinable(image, hom)
+    if outside:
+        return NotDefinable(*next(iter(outside.items())))
     # image always contains S, so image == S here
     pointed_product = pointed.structure
     used = {v for rows in pointed_product.rows.values() for row in rows for v in row}

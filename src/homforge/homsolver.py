@@ -19,14 +19,11 @@ queue (Mackworth 1977).
 
 A revision's outcome depends only on the table, the scope's repeat pattern
 and the scope's domains, and in a product thousands of constraints share
-one table and meet the same domains.  So a table over at least
-MEMO_MIN_VALUES target elements keeps a memo keyed on (the pattern's id,
-those domains) that holds the revised domains, "none narrowed" or a
-wipeout; a hit replaces the revision, and a miss revises as above and
-records the result.  Below the gate a revision is as cheap as a lookup, and
-the memo does not repay the key getter each constraint then builds and
-holds.  A memo that reaches MEMO_LIMIT entries is emptied before the next
-one is recorded.
+one table and meet the same domains.  So every table keeps a memo keyed on
+(the pattern's id, those domains) that holds the revised domains, "none
+narrowed" or a wipeout; a hit replaces the revision, and a miss revises as
+above and records the result.  A memo that reaches MEMO_LIMIT entries is
+emptied before the next one is recorded.
 
 There is one search, _Csp.search(prefix).  It propagates at the root, then
 keeps a single domain list, records every domain change on a trail and
@@ -59,10 +56,6 @@ from operator import itemgetter
 from .core import DEFAULT_PRODUCT_GUARD, Homomorphism, check_guard, product
 from .errors import SignatureMismatchError
 
-# a table over at least this many target elements memoizes its revisions:
-# over two values (the checkerboard tiling) the memo saved little or no time
-# and added 5-8% to peak memory; over three (K3) a search took a third less
-MEMO_MIN_VALUES = 3
 # entries a table's memo holds before it is emptied
 MEMO_LIMIT = 1 << 16
 
@@ -93,9 +86,8 @@ class _Table:
         # (its id, the rows that agree wherever it repeats a variable)
         self.patterns = {tuple(range(arity)): (0, self.full)}
         # (pattern id, the scope's domains) -> the revised domains of its
-        # distinct variables, True when none narrows, False for a wipeout;
-        # None where revising is cheaper than a lookup
-        self.memo = {} if n_values >= MEMO_MIN_VALUES else None
+        # distinct variables, True when none narrows, False for a wipeout
+        self.memo = {}
 
     def entry(self, p, dom):
         """The cache entry of domain dom at position p, computed on first use."""
@@ -135,7 +127,7 @@ class _Csp:
         self.values = target.domain
         # constraint: (table, scope of variables, rows allowed by the scope's
         # repeats, ((variable, its first position), ...), repeat pattern id,
-        # getter of the scope's domains or None without a memo)
+        # getter of the scope's domains)
         self.cons = []
         self.var_cons = [[] for _ in source.domain]
         for name, arity in source.signature.relations:
@@ -150,9 +142,8 @@ class _Csp:
                     pid, eq = 0, table.full
                 else:
                     pid, eq = table.pattern(tuple(first[v] for v in scope))
-                doms = None if table.memo is None else itemgetter(*scope)
                 ci = len(self.cons)
-                self.cons.append((table, scope, eq, tuple(first.items()), pid, doms))
+                self.cons.append((table, scope, eq, tuple(first.items()), pid, itemgetter(*scope)))
                 for v in first:
                     self.var_cons[v].append(ci)
         self.dom = [(1 << len(target.domain)) - 1] * len(source.domain)
@@ -181,30 +172,29 @@ class _Csp:
             ci = queue.popleft()
             queued[ci] = 0
             table, scope, live, first, pid, doms = cons[ci]
-            if doms is not None:
-                memo = table.memo
-                key = (pid, doms(dom))
-                revised = memo.get(key)
-                if revised is not None:
-                    if revised is True:
-                        continue
-                    if revised is False:
-                        for cj in queue:
-                            queued[cj] = 0
-                        return False
-                    for (v, _), nd in zip(first, revised):
-                        d = dom[v]
-                        if nd != d:
-                            trail.append((v, d))
-                            dom[v] = nd
-                            for cj in var_cons[v]:
-                                if not queued[cj] and cj != ci:
-                                    queued[cj] = 1
-                                    queue.append(cj)
+            memo = table.memo
+            key = (pid, doms(dom))
+            revised = memo.get(key)
+            if revised is not None:
+                if revised is True:
                     continue
-                if len(memo) >= MEMO_LIMIT:
-                    memo.clear()
-                mark = len(trail)
+                if revised is False:
+                    for cj in queue:
+                        queued[cj] = 0
+                    return False
+                for (v, _), nd in zip(first, revised):
+                    d = dom[v]
+                    if nd != d:
+                        trail.append((v, d))
+                        dom[v] = nd
+                        for cj in var_cons[v]:
+                            if not queued[cj] and cj != ci:
+                                queued[cj] = 1
+                                queue.append(cj)
+                continue
+            if len(memo) >= MEMO_LIMIT:
+                memo.clear()
+            mark = len(trail)
             cache = table.cache
             for p, v in enumerate(scope):
                 d = dom[v]
@@ -213,8 +203,7 @@ class _Csp:
                     entry = table.entry(p, d)
                 live &= entry[0]
                 if not live:
-                    if doms is not None:
-                        memo[key] = False
+                    memo[key] = False
                     for cj in queue:
                         queued[cj] = 0
                     return False
@@ -232,8 +221,7 @@ class _Csp:
                         if not queued[cj] and cj != ci:
                             queued[cj] = 1
                             queue.append(cj)
-            if doms is not None:
-                memo[key] = tuple([dom[v] for v, _ in first]) if len(trail) > mark else True
+            memo[key] = tuple([dom[v] for v, _ in first]) if len(trail) > mark else True
         return True
 
     def search(self, prefix=(), skip=()):

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from homforge.core import PhpInstance, PointedStructure, digraph, product
+from homforge.core import DEFAULT_PRODUCT_GUARD, PhpInstance, digraph, product
 from homforge.cq import evaluate
 from homforge.cqdef import (
     Definable,
     NotDefinable,
+    _pointed_product,
     decide_cq_definability,
     reduce_php_to_nondefinability,
     validate_not_definable,
@@ -152,16 +153,10 @@ def test_witness_tuple_is_the_least_image_outside_s():
     assert checked >= 10
 
 
-def _pointed(instance, s_rows):
-    """The pointed product of instance over S, built as decide_cq_definability builds it."""
-    s_sorted = sorted(set(s_rows), key=lambda t: tuple(instance.rank[c] for c in t))
-    distinguished = tuple(zip(*s_sorted))
-    return PointedStructure(product([instance] * len(s_sorted)), distinguished)
-
-
 def _reference_verdict(instance, s_rows):
     """The least image outside S of the full image map, or None when there is none."""
-    images = image_witnesses(_pointed(instance, s_rows), instance)
+    pointed = _pointed_product(instance, s_rows, DEFAULT_PRODUCT_GUARD)[1]
+    images = image_witnesses(pointed, instance)
     for image, hom in images.items():
         if image not in set(s_rows):
             return image, hom
@@ -192,7 +187,7 @@ def test_skipping_s_changes_no_answer():
         s_rows = [tuple(rng.choice(instance.domain) for _ in range(k)) for _ in range(size)]
         if rng.random() < 0.4:
             s_rows[-1] = (s_rows[0][0],) * k  # a tuple that repeats a coordinate
-        pointed = _pointed(instance, s_rows)
+        pointed = _pointed_product(instance, s_rows, DEFAULT_PRODUCT_GUARD)[1]
         full = image_witnesses(pointed, instance)
         outside = image_witnesses(pointed, instance, known=set(s_rows))
         dist = pointed.distinguished

@@ -154,8 +154,8 @@ def test_image_witnesses_repeated_empty_and_wiped_out():
         assert _check_image_witnesses(looped, two, dist) == {}
 
 
-def _gated_corpus(rng, count):
-    """Random structures with binary and ternary scopes into targets the memo gates on.
+def _shared_table_corpus(rng, count):
+    """Random structures with binary and ternary scopes into targets of 8 to 11 elements.
 
     The source's tuples include the scopes (x, y), (x, x), (x, y, x),
     (x, x, y), (x, y, y) and (x, y, z), so each target table is shared by
@@ -173,7 +173,7 @@ def _gated_corpus(rng, count):
                 tuple(picked[i] for i in pattern)
             )
         source = Structure(sig, src_dom, interp)
-        n = homsolver.MEMO_MIN_VALUES + rng.randint(5, 8)
+        n = rng.randint(8, 11)
         tgt_dom = tuple(f"v{i}" for i in range(n))
         target = Structure(
             sig,
@@ -198,7 +198,7 @@ def test_memoized_revisions_reach_the_reference_fixpoint():
     # out the repeat pattern would hand (x, y, x) the revision of (x, x, y)
     rng = random.Random(8)
     consistent = memoized = 0
-    for source, target in _gated_corpus(rng, 80):
+    for source, target in _shared_table_corpus(rng, 80):
         csp = _Csp(source, target)
         ok = csp.propagate(range(len(csp.cons)))
         expected = helpers.reference_gac(source, target)
@@ -223,7 +223,7 @@ def test_memo_stays_within_its_bound(monkeypatch):
     monkeypatch.setattr(homsolver, "MEMO_LIMIT", 8)
     rng = random.Random(12)
     emptied = 0
-    for source, target in _gated_corpus(rng, 10):
+    for source, target in _shared_table_corpus(rng, 10):
         prefix = list(range(min(3, len(source.domain))))
         csp = _Csp(source, target)
         tables = {id(c[0]): c[0] for c in csp.cons}.values()
