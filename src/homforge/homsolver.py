@@ -9,32 +9,36 @@ element's rank, a value is a target element's rank, and the constraint
 scopes and table rows are the structures' rank rows, so ascending value
 index is the canonical value order; elements come back only when a solution
 is emitted.  A domain is a Python int used as a bitset over values.  Each
-target relation becomes one support table shared by all its constraints:
-for every (position, value) the bitset of the rows holding that value
-there, plus, for scopes that repeat a variable, the mask of rows that agree
-on the repeated positions.  Revising a constraint intersects the rows each
-position's domain still supports and keeps the values that meet a live row,
-in the manner of Compact-Table (Demeulenaere et al., CP 2016) under an AC-3
-queue (Mackworth 1977).
+target relation becomes one support table shared by all its constraints: for
+every (position, value) the bitset of the rows holding that value there,
+and, once per repeat pattern of its scopes, the mask of rows that agree on
+the repeated positions and the first position of each distinct variable.
+A constraint is only (table, pattern id, getter of its scope's domains,
+distinct variables); a scope without repeats is its own variable tuple.
+_Table.revise is the one revision: it intersects the rows each position's
+domain still supports and keeps the values that meet a live row, in the
+manner of Compact-Table (Demeulenaere et al., CP 2016) under an AC-3 queue
+(Mackworth 1977).
 
-A revision's outcome depends only on the table, the scope's repeat pattern
-and the scope's domains, and in a product thousands of constraints share
-one table and meet the same domains.  So every table keeps a memo keyed on
-(the pattern's id, those domains) that holds the revised domains, "none
-narrowed" or a wipeout; a hit replaces the revision, and a miss revises as
-above and records the result.  A memo that reaches MEMO_LIMIT entries is
-emptied before the next one is recorded.
+A revision depends only on the table, the pattern and the scope's domains,
+and in a product thousands of constraints share one table and meet the
+same domains.  So every table keeps a memo keyed on (pattern id, those
+domains) that holds the revised domains, True when none narrows or False
+for a wipeout.  propagate revises only on a miss, records the result
+(emptying a memo of MEMO_LIMIT entries first) and applies hit and miss
+through one loop.
 
-There is one search, _Csp.search(prefix).  It propagates at the root, then
-keeps a single domain list, records every domain change on a trail and
-undoes it on backtrack; an explicit stack replaces recursion, so depth is
-limited by memory rather than by the interpreter.  Arc consistency is
-restored after each assignment.  The distinct prefix variables are assigned
-first, in the given order; after them, the variable picked is the most
-constrained one keyed on (domain size, rank).  Values are tried in
-canonical order.  After each solution the search backtracks to the last
-prefix variable, so every assignment of the prefix yields its first
-solution only.  The callers differ only in the prefix:
+There is one search, _Csp.search(prefix).  It propagates at the root, whose
+changes nothing undoes and so leave no trail, then keeps a single domain
+list, records every domain change on a trail and undoes it on backtrack; an
+explicit stack replaces recursion, so depth is limited by memory rather
+than by the interpreter.  Arc consistency is restored after each
+assignment.  The distinct prefix variables are assigned first, in the given
+order; after them, the variable picked is the most constrained one keyed on
+(domain size, rank).  Values are tried in canonical order.  After each
+solution the search backtracks to the last prefix variable, so every
+assignment of the prefix yields its first solution only.  The callers
+differ only in the prefix:
 
 - find_homomorphism: the first solution and nothing more.  decide_php
   passes no prefix; solve-tiling passes every grid cell in row-major order,
@@ -69,11 +73,10 @@ class PhpVerdict:
 
 
 class _Table:
-    """One target relation over interned values, shared by every constraint on it."""
+    """One target relation, shared by its constraints: what a revision reads, and the memo."""
 
     def __init__(self, rows, arity, n_values):
         self.rows = rows
-        self.full = (1 << len(rows)) - 1
         # support[p][val]: bitset of the rows with value val at position p
         self.support = [[0] * n_values for _ in range(arity)]
         for r, row in enumerate(rows):
@@ -82,9 +85,11 @@ class _Table:
                 self.support[p][val] |= bit
         # per position, domain bitset -> (rows it supports, ((value bit, rows), ...))
         self.cache = [{} for _ in range(arity)]
-        # repeat pattern (the first position of each position's variable) ->
-        # (its id, the rows that agree wherever it repeats a variable)
-        self.patterns = {tuple(range(arity)): (0, self.full)}
+        # repeat pattern (the first position of each position's variable) -> its id
+        self.pattern_ids = {tuple(range(arity)): 0}
+        # per pattern id: (the rows that agree wherever it repeats a variable,
+        # the first position of each distinct variable)
+        self.patterns = [((1 << len(rows)) - 1, tuple(range(arity)))]
         # (pattern id, the scope's domains) -> the revised domains of its
         # distinct variables, True when none narrows, False for a wipeout
         self.memo = {}
@@ -106,28 +111,49 @@ class _Table:
         return entry
 
     def pattern(self, pattern):
-        """The id of a repeat pattern and the rows that agree wherever it does."""
-        entry = self.patterns.get(pattern)
-        if entry is None:
+        """The id of a repeat pattern, recorded with its agreeing rows on first use."""
+        pid = self.pattern_ids.get(pattern)
+        if pid is None:
             mask = 0
             for r, row in enumerate(self.rows):
                 if all(row[p] == row[q] for p, q in enumerate(pattern)):
                     mask |= 1 << r
-            entry = self.patterns[pattern] = (len(self.patterns), mask)
-        return entry
+            pid = self.pattern_ids[pattern] = len(self.patterns)
+            self.patterns.append((mask, tuple(dict.fromkeys(pattern))))
+        return pid
+
+    def revise(self, pid, doms):
+        """A memo entry: the revision of a scope of pattern pid whose positions hold doms."""
+        live, firsts = self.patterns[pid]
+        cache = self.cache
+        for p, d in enumerate(doms):
+            live &= (cache[p].get(d) or self.entry(p, d))[0]
+            if not live:
+                return False
+        # every live row agrees on repeats, so a variable's first position suffices
+        revised = []
+        narrowed = False
+        for p in firsts:
+            d = doms[p]
+            nd = 0
+            for bit, s in cache[p][d][1]:
+                if live & s:
+                    nd |= bit
+            revised.append(nd)
+            narrowed = narrowed or nd != d
+        return tuple(revised) if narrowed else True
 
 
 class _Csp:
-    """Interned variables and values, bitset domains with a trail, shared-table constraints."""
+    """Interned variables and values, bitset domains with a trail, 4-tuple constraints."""
 
     def __init__(self, source, target):
         if source.signature != target.signature:
             raise SignatureMismatchError("source and target must share a signature")
         self.source_domain = source.domain
         self.values = target.domain
-        # constraint: (table, scope of variables, rows allowed by the scope's
-        # repeats, ((variable, its first position), ...), repeat pattern id,
-        # getter of the scope's domains)
+        # constraint: (table, repeat pattern id, getter of the scope's
+        # domains, the scope's distinct variables in order of first position)
         self.cons = []
         self.var_cons = [[] for _ in source.domain]
         for name, arity in source.signature.relations:
@@ -135,16 +161,15 @@ class _Csp:
                 continue
             table = _Table(target.rows[name], arity, len(target.domain))
             for scope in source.rows[name]:
-                first = {}
-                for p, v in enumerate(scope):
-                    first.setdefault(v, p)
-                if len(first) == arity:
-                    pid, eq = 0, table.full
+                if len(set(scope)) == arity:
+                    pid, variables = 0, scope
                 else:
-                    pid, eq = table.pattern(tuple(first[v] for v in scope))
+                    pid = table.pattern(tuple(map(scope.index, scope)))
+                    variables = tuple(dict.fromkeys(scope))
+                doms = itemgetter(*scope) if arity > 1 else lambda dom, v=scope[0]: (dom[v],)
                 ci = len(self.cons)
-                self.cons.append((table, scope, eq, tuple(first.items()), pid, itemgetter(*scope)))
-                for v in first:
+                self.cons.append((table, pid, doms, variables))
+                for v in variables:
                     self.var_cons[v].append(ci)
         self.dom = [(1 << len(target.domain)) - 1] * len(source.domain)
         self.trail = []  # (variable, domain before the change)
@@ -171,49 +196,22 @@ class _Csp:
         while queue:
             ci = queue.popleft()
             queued[ci] = 0
-            table, scope, live, first, pid, doms = cons[ci]
+            table, pid, doms, variables = cons[ci]
             memo = table.memo
             key = (pid, doms(dom))
             revised = memo.get(key)
-            if revised is not None:
-                if revised is True:
-                    continue
-                if revised is False:
-                    for cj in queue:
-                        queued[cj] = 0
-                    return False
-                for (v, _), nd in zip(first, revised):
-                    d = dom[v]
-                    if nd != d:
-                        trail.append((v, d))
-                        dom[v] = nd
-                        for cj in var_cons[v]:
-                            if not queued[cj] and cj != ci:
-                                queued[cj] = 1
-                                queue.append(cj)
+            if revised is None:
+                if len(memo) >= MEMO_LIMIT:
+                    memo.clear()
+                revised = memo[key] = table.revise(*key)
+            if revised is True:
                 continue
-            if len(memo) >= MEMO_LIMIT:
-                memo.clear()
-            mark = len(trail)
-            cache = table.cache
-            for p, v in enumerate(scope):
+            if revised is False:
+                for cj in queue:
+                    queued[cj] = 0
+                return False
+            for v, nd in zip(variables, revised):
                 d = dom[v]
-                entry = cache[p].get(d)
-                if entry is None:
-                    entry = table.entry(p, d)
-                live &= entry[0]
-                if not live:
-                    memo[key] = False
-                    for cj in queue:
-                        queued[cj] = 0
-                    return False
-            # every live row agrees on repeats, so a variable's first position suffices
-            for v, p in first:
-                d = dom[v]
-                nd = 0
-                for bit, s in cache[p][d][1]:
-                    if live & s:
-                        nd |= bit
                 if nd != d:
                     trail.append((v, d))
                     dom[v] = nd
@@ -221,7 +219,6 @@ class _Csp:
                         if not queued[cj] and cj != ci:
                             queued[cj] = 1
                             queue.append(cj)
-            memo[key] = tuple([dom[v] for v, _ in first]) if len(trail) > mark else True
         return True
 
     def search(self, prefix=(), skip=()):
@@ -243,6 +240,8 @@ class _Csp:
         value = [-1] * n
         if not self.propagate(range(len(self.cons))):
             return
+        # nothing undoes the root's changes, so they leave no trail
+        trail.clear()
         if not prefix and () in skip:
             return
         if n == 0:

@@ -21,6 +21,7 @@ from homforge.homsolver import (
     image_set,
     image_witnesses,
 )
+from homforge.tiling import TileSystem, TilingInstance, encode_tiling_php
 
 import helpers
 from paper_objects import compose, enumerate_homomorphisms
@@ -155,23 +156,21 @@ def test_image_witnesses_repeated_empty_and_wiped_out():
 
 
 def _shared_table_corpus(rng, count):
-    """Random structures with binary and ternary scopes into targets of 8 to 11 elements.
+    """Random structures with unary, binary and ternary scopes into targets of 8 to 11 elements.
 
-    The source's tuples include the scopes (x, y), (x, x), (x, y, x),
-    (x, x, y), (x, y, y) and (x, y, z), so each target table is shared by
-    scopes of several repeat patterns over equal domains.
+    The source's tuples include the scopes (x), (x, y), (x, x), (x, y, x),
+    (x, x, y), (x, y, y), (x, x, x) and (x, y, z), so each target table is
+    shared by scopes of several repeat patterns over equal domains.
     """
-    sig = Signature((("E", 2), ("T", 3)))
-    patterns = ((0, 1), (0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2))
+    sig = Signature((("E", 2), ("T", 3), ("U", 1)))
+    patterns = ((0,), (0, 1), (0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 0, 0), (0, 1, 2))
     for _ in range(count):
         src_dom = tuple(f"x{i}" for i in range(rng.randint(3, 6)))
-        interp = {"E": [], "T": []}
+        interp = {"E": [], "T": [], "U": []}
         for _ in range(rng.randint(3, 8)):
             pattern = rng.choice(patterns)
             picked = rng.sample(src_dom, 3)
-            interp["E" if len(pattern) == 2 else "T"].append(
-                tuple(picked[i] for i in pattern)
-            )
+            interp["UET"[len(pattern) - 1]].append(tuple(picked[i] for i in pattern))
         source = Structure(sig, src_dom, interp)
         n = rng.randint(8, 11)
         tgt_dom = tuple(f"v{i}" for i in range(n))
@@ -181,6 +180,7 @@ def _shared_table_corpus(rng, count):
             {
                 "E": [t for t in itertools.product(tgt_dom, repeat=2) if rng.random() < 0.4],
                 "T": [t for t in itertools.product(tgt_dom, repeat=3) if rng.random() < 0.15],
+                "U": [(v,) for v in tgt_dom if rng.random() < 0.7],
             },
         )
         yield source, target
@@ -240,6 +240,16 @@ def test_memo_stays_within_its_bound(monkeypatch):
             m.setattr(homsolver, "MEMO_LIMIT", 1 << 16)
             assert [list(v) for v in _Csp(source, target).search(prefix)] == solutions
     assert emptied > 0
+
+
+def test_root_propagation_leaves_no_trail():
+    # on the checkerboard of side 4 root arc consistency fixes every cell:
+    # its changes are never undone, and no search step changes a domain
+    checker = TileSystem(("k", "w"), {("k", "w"), ("w", "k")}, {("k", "w"), ("w", "k")})
+    inst = encode_tiling_php(TilingInstance(checker, ("w", "k")))
+    csp = _Csp(product(inst.factors), inst.target)
+    next(csp.search())
+    assert csp.trail == []
 
 
 def test_decide_php_identity():
