@@ -5,8 +5,11 @@ All machine output is a single JSON document on stdout (pretty-printed with
 NotDefinable, 2 = usage or parse error, 3 = a resource guard was hit,
 4 = internal error (an unexpected exception, or an answer whose certificate
 fails its check; the traceback goes to stderr).  check-hom validates every
-YES witness, solve-tiling every tiling and cqdef check every NotDefinable
-certificate before printing.
+YES witness, solve-tiling every witness (against the product it searched)
+and tiling, and cqdef check every NotDefinable certificate before printing.
+No command passes a size guard on: core.check_guard reads HOMFORGE_GUARD
+itself, and main reads it once first, so a bad value exits 2 whatever the
+command.
 A plain argv is read straight from COMMANDS (see _quick_parse); help, usage
 and errors come from the full argparse tree of build_parser.  Files are
 written by core, byte-identical to json.dumps(..., sort_keys=True, indent=2).
@@ -20,7 +23,6 @@ import traceback
 
 from . import cqdef, normalform, tiling
 from .core import (
-    DEFAULT_PRODUCT_GUARD,
     PhpInstance,
     check_guard,
     element_label,
@@ -29,12 +31,13 @@ from .core import (
     product,
     save_rows,
     save_structure,
+    size_guard,
     string_rows,
     structure_to_dict,
     validate_php_witness,
 )
 from .cq import canonical_structure, evaluate, load_query, query_to_dict
-from .errors import CertificateError, GuardExceededError, HomforgeError, UsageError
+from .errors import CertificateError, GuardExceededError, HomforgeError
 from .homsolver import decide_php, find_homomorphism
 from .tiling import (
     TilingInstance,
@@ -49,21 +52,6 @@ EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_INTERNAL = 4
-
-
-def _guard():
-    """The product size guard; HOMFORGE_GUARD, when set, must be a positive integer."""
-    raw = os.environ.get("HOMFORGE_GUARD")
-    if raw is None:
-        return DEFAULT_PRODUCT_GUARD
-    digits = raw.strip()
-    # int() alone would also take "+5", "1_000" and non-ASCII digits, and it
-    # refuses more digits than its conversion limit of 4300
-    ok = digits.isascii() and digits.isdigit() and len(digits) < 4300
-    guard = int(digits) if ok else 0
-    if guard < 1:
-        raise UsageError(f"HOMFORGE_GUARD must be a positive integer, got {raw!r}")
-    return guard
 
 
 def _emit(payload, args):
@@ -97,10 +85,10 @@ def _write_instance(inst, out_dir):
 
 def cmd_check_hom(args):
     inst = _load_instance(args)
-    verdict = decide_php(inst, args.guard)
+    verdict = decide_php(inst)
     payload = {"answer": "YES" if verdict.yes else "NO"}
     if verdict.yes:
-        validate_php_witness(inst, verdict.witness, args.guard)
+        validate_php_witness(inst, verdict.witness)
         if args.witness:
             payload["witness"] = _hom_to_json(verdict.witness)
     return (EXIT_YES if verdict.yes else EXIT_NO), payload
@@ -108,7 +96,7 @@ def cmd_check_hom(args):
 
 def cmd_product(args):
     factors = [load_structure(p) for p in args.factors]
-    prod = product(factors, guard=args.guard)
+    prod = product(factors)
     if args.out:
         save_structure(prod, args.out)
         return EXIT_YES, {"written": args.out, "size": len(prod.domain)}
@@ -131,16 +119,18 @@ def cmd_solve_tiling(args):
     m = inst.m
     # the encoded product has 4^m elements; checked here because encoding
     # alone grows faster than m^2
-    check_guard(4**m, args.guard, f"product domain would have 4^{m} elements")
+    check_guard(4**m, f"product domain would have 4^{m} elements")
     php = encode_tiling_php(inst)
     n = 2**m
     # every cell, row-major, so the first solution is the least grid in that
     # order with tiles tried in sorted order
     cells = [coordinate_element(x, y, m) for y in range(n) for x in range(n)]
-    hom = find_homomorphism(product(php.factors, guard=args.guard), php.target, cells)
+    prod = product(php.factors)
+    hom = find_homomorphism(prod, php.target, cells)
     if hom is None:
         return EXIT_NO, {"answer": "NO"}
-    assignment = decode_hom_to_tiling(hom, inst, args.guard)
+    hom.validate(prod, php.target)
+    assignment = decode_hom_to_tiling(hom, inst)
     if not check_tiling(assignment, inst):
         raise CertificateError("the decoded grid is not a valid tiling")
     grid = {f"{x},{y}": t for (x, y), t in assignment.items()}
@@ -149,14 +139,14 @@ def cmd_solve_tiling(args):
 
 def cmd_reduce_single_rel(args):
     inst = _load_instance(args)
-    out = normalform.single_relation_transform(inst, args.guard)
+    out = normalform.single_relation_transform(inst)
     files = _write_instance(out, args.out_dir)
     return EXIT_YES, {"files": files}
 
 
 def cmd_reduce_digraph(args):
     inst = _load_instance(args)
-    out = normalform.digraph_transform(inst, args.guard)
+    out = normalform.digraph_transform(inst)
     files = _write_instance(out, args.out_dir)
     return EXIT_YES, {"files": files}
 
@@ -175,7 +165,7 @@ def cmd_reduce_php_to_cqdef(args):
 def cmd_cq_eval(args):
     q = load_query(args.query)
     s = load_structure(args.structure)
-    answers = evaluate(q, s, args.guard)
+    answers = evaluate(q, s)
     out = sorted([list(map(element_label, t)) for t in answers])
     return EXIT_YES, {"answers": out}
 
@@ -193,13 +183,13 @@ def cmd_cq_canonical(args):
 def cmd_cqdef_check(args):
     s = load_structure(args.structure)
     s_tuples = string_rows(load_json(args.relation), "the relation file")
-    verdict = cqdef.decide_cq_definability(s, s_tuples, args.guard)
+    verdict = cqdef.decide_cq_definability(s, s_tuples)
     if isinstance(verdict, cqdef.Definable):
         return EXIT_YES, {
             "answer": "Definable",
             "query": query_to_dict(verdict.query),
         }
-    cqdef.validate_not_definable(s, s_tuples, verdict, args.guard)
+    cqdef.validate_not_definable(s, s_tuples, verdict)
     if verdict.isolated_position is not None:
         return EXIT_NO, {
             "answer": "NotDefinable",
@@ -363,8 +353,8 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = _quick_parse(argv) or build_parser().parse_args(argv)
     try:
-        # read once, before any command runs, so every command rejects a bad value
-        args.guard = _guard()
+        # read before any command runs, so every command rejects a bad value
+        size_guard()
         code, payload = args.func(args)
         _emit(payload, args)
         return code

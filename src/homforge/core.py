@@ -22,6 +22,10 @@ duplicates, and for every relation of the signature rows[name] lists
 distinct rank tuples of the relation's arity in ascending order.  Every
 other builder, and every file read, goes through the checking constructor.
 
+Every step that multiplies sizes calls check_guard before it builds
+anything, and check_guard reads the guard itself from size_guard, the one
+reader of HOMFORGE_GUARD; no function takes the guard as an argument.
+
 Files are written as json.dumps(..., sort_keys=True, indent=2) writes them,
 byte for byte, but the text is joined here from the C string encoder that
 json.dumps itself uses (json's indenting encoder is pure Python), and each
@@ -31,6 +35,7 @@ domain element is labelled once.
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -38,6 +43,7 @@ from .errors import (
     InvalidStructureError,
     NotAHomomorphismError,
     SignatureMismatchError,
+    UsageError,
 )
 
 DEFAULT_PRODUCT_GUARD = 10**6
@@ -219,12 +225,28 @@ def digraph(domain, edges):
     return Structure(Signature((("E", 2),)), tuple(domain), {"E": tuple(edges)})
 
 
-def check_guard(count, guard, what):
-    """Raise GuardExceededError when count exceeds guard; what describes the count.
+def size_guard():
+    """The product size guard; HOMFORGE_GUARD, when set, must be a positive integer."""
+    raw = os.environ.get("HOMFORGE_GUARD")
+    if raw is None:
+        return DEFAULT_PRODUCT_GUARD
+    digits = raw.strip()
+    # int() alone would also take "+5", "1_000" and non-ASCII digits, and it
+    # refuses more digits than its conversion limit of 4300
+    ok = digits.isascii() and digits.isdigit() and len(digits) < 4300
+    guard = int(digits) if ok else 0
+    if guard < 1:
+        raise UsageError(f"HOMFORGE_GUARD must be a positive integer, got {raw!r}")
+    return guard
+
+
+def check_guard(count, what):
+    """Raise GuardExceededError when count exceeds size_guard(); what describes the count.
 
     The one place that compares a size with the guard: every step that
     multiplies sizes calls it before it builds anything.
     """
+    guard = size_guard()
     if count > guard:
         raise GuardExceededError(f"{what} (guard {guard})", count)
 
@@ -237,18 +259,18 @@ def _require_shared_signature(structures):
     return sig
 
 
-def product_domain(factors, guard=DEFAULT_PRODUCT_GUARD):
+def product_domain(factors):
     """Iterator over the n-tuples of factor elements, in canonical order.
 
-    The size check comes first: more than guard elements raise
+    The size check comes first: more than size_guard() elements raise
     GuardExceededError before any tuple is built.
     """
     size = math.prod(len(f.domain) for f in factors)
-    check_guard(size, guard, f"product domain would have {size} elements")
+    check_guard(size, f"product domain would have {size} elements")
     return itertools.product(*(f.domain for f in factors))
 
 
-def product(factors, guard=DEFAULT_PRODUCT_GUARD):
+def product(factors):
     """Direct product: domain is the cartesian product, tuples hold componentwise.
 
     Elements are n-tuples of factor elements in factor order.  A hard size
@@ -266,10 +288,10 @@ def product(factors, guard=DEFAULT_PRODUCT_GUARD):
     if not factors:
         raise InvalidStructureError("product of zero factors is undefined")
     sig = _require_shared_signature(factors)
-    elements = product_domain(factors, guard)
+    elements = product_domain(factors)
     for name in sig.names():
         combos = math.prod(len(f.rows[name]) for f in factors)
-        check_guard(combos, guard, f"product relation {name!r} would have {combos} tuples")
+        check_guard(combos, f"product relation {name!r} would have {combos} tuples")
     domain = tuple(elements)
     rows = {}
     for name, arity in sig.relations:
@@ -284,13 +306,13 @@ def product(factors, guard=DEFAULT_PRODUCT_GUARD):
     return Structure._canonical(sig, domain, rows)
 
 
-def validate_php_witness(inst, hom, guard=DEFAULT_PRODUCT_GUARD):
+def validate_php_witness(inst, hom):
     """Check a PHP witness against the built product, independently of any search.
 
     An invalid map raises NotAHomomorphismError naming the first violation.
-    The product is built under guard, as decide_php builds it.
+    The product is built under the size guard, as decide_php builds it.
     """
-    hom.validate(product(inst.factors, guard), inst.target)
+    hom.validate(product(inst.factors), inst.target)
 
 
 # --- JSON file format -------------------------------------------------------

@@ -9,7 +9,6 @@ queries with an empty free-variable tuple.
 from dataclasses import dataclass
 
 from .core import (
-    DEFAULT_PRODUCT_GUARD,
     PointedStructure,
     Structure,
     element_label,
@@ -83,14 +82,14 @@ def canonical_query(p):
     return ConjunctiveQuery(free, bound, tuple(atoms))
 
 
-def evaluate(q, s, guard=DEFAULT_PRODUCT_GUARD):
+def evaluate(q, s):
     """The set of answer tuples of q on s; {()} or set() for Boolean q.
 
-    More than guard candidate answers (|s|^k for k free variables) raise
-    GuardExceededError before any search.
+    More candidate answers (|s|^k for k free variables) than the size guard
+    raise GuardExceededError before any search.
     """
     pointed = canonical_structure(q, s.signature)
-    return image_set(pointed, s, guard)
+    return image_set(pointed, s)
 
 
 # --- JSON file format -------------------------------------------------------

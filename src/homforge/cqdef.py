@@ -17,13 +17,7 @@ isolated distinguished element makes S not definable.
 
 from dataclasses import dataclass
 
-from .core import (
-    DEFAULT_PRODUCT_GUARD,
-    Homomorphism,
-    PointedStructure,
-    Structure,
-    product,
-)
+from .core import Homomorphism, PointedStructure, Structure, product
 from .cq import ConjunctiveQuery, canonical_query
 from .errors import (
     CertificateError,
@@ -53,7 +47,7 @@ class NotDefinable:
     isolated_position: int | None = None
 
 
-def _pointed_product(instance, s_tuples, guard):
+def _pointed_product(instance, s_tuples):
     """S as a set, and the product of the pointed copies (instance, s) for s in S.
 
     S is checked in input order, so the first bad tuple reported is fixed,
@@ -72,11 +66,11 @@ def _pointed_product(instance, s_tuples, guard):
             raise InvalidStructureError(f"tuple {t!r} uses elements outside the domain")
     s_set = set(s_tuples)
     s_sorted = sorted(s_set, key=lambda t: tuple(rank[c] for c in t))
-    pointed_product = product([instance] * len(s_sorted), guard=guard)
+    pointed_product = product([instance] * len(s_sorted))
     return s_set, PointedStructure(pointed_product, tuple(zip(*s_sorted)))
 
 
-def decide_cq_definability(instance, s_tuples, guard=DEFAULT_PRODUCT_GUARD):
+def decide_cq_definability(instance, s_tuples):
     """Decide whether some conjunctive query q has q(instance) = s_tuples.
 
     Returns Definable with an unminimized defining query, or NotDefinable
@@ -86,13 +80,13 @@ def decide_cq_definability(instance, s_tuples, guard=DEFAULT_PRODUCT_GUARD):
     S, which the projections already witness, so it only looks for images
     that can refute definability.  When the image is S but a
     distinguished element occurs in no tuple, NotDefinable names its
-    position instead.  A pointed product with more than
-    guard elements or tuples per relation, or more than guard candidate
-    image tuples, raises GuardExceededError.
+    position instead.  A pointed product with more elements or tuples per
+    relation than the size guard, or more candidate image tuples, raises
+    GuardExceededError.
     """
-    s_set, pointed = _pointed_product(instance, s_tuples, guard)
+    s_set, pointed = _pointed_product(instance, s_tuples)
     # image_witnesses lists the images outside S in lexicographic order of their ranks
-    outside = image_witnesses(pointed, instance, guard=guard, known=s_set)
+    outside = image_witnesses(pointed, instance, known=s_set)
     if outside:
         return NotDefinable(*next(iter(outside.items())))
     # image always contains S, so image == S here
@@ -104,7 +98,7 @@ def decide_cq_definability(instance, s_tuples, guard=DEFAULT_PRODUCT_GUARD):
     return Definable(canonical_query(pointed))
 
 
-def validate_not_definable(instance, s_tuples, answer, guard=DEFAULT_PRODUCT_GUARD):
+def validate_not_definable(instance, s_tuples, answer):
     """Check a NotDefinable answer for S over instance, independently of the search.
 
     S is checked as decide_cq_definability checks it, and a bad S raises the
@@ -115,7 +109,7 @@ def validate_not_definable(instance, s_tuples, answer, guard=DEFAULT_PRODUCT_GUA
     that lies in no tuple.  A failed check raises CertificateError
     (NotAHomomorphismError for a map that is not a homomorphism).
     """
-    s_set, pointed = _pointed_product(instance, s_tuples, guard)
+    s_set, pointed = _pointed_product(instance, s_tuples)
     distinguished = pointed.distinguished
     j = answer.isolated_position
     if j is not None:

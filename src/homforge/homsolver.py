@@ -57,7 +57,7 @@ from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .core import DEFAULT_PRODUCT_GUARD, Homomorphism, check_guard, product
+from .core import Homomorphism, check_guard, product
 from .errors import SignatureMismatchError
 
 # entries a table's memo holds before it is emptied
@@ -323,12 +323,12 @@ def find_homomorphism(source, target, prefix=()):
     return None
 
 
-def image_set(source, target, guard=DEFAULT_PRODUCT_GUARD):
+def image_set(source, target):
     """All tuples the distinguished tuple of a pointed source can map to."""
-    return set(image_witnesses(source, target, guard))
+    return set(image_witnesses(source, target))
 
 
-def image_witnesses(source, target, guard=DEFAULT_PRODUCT_GUARD, known=()):
+def image_witnesses(source, target, known=()):
     """Map from each achievable image tuple outside known to one witnessing homomorphism.
 
     The search takes the distinguished elements as its prefix, so the
@@ -338,12 +338,12 @@ def image_witnesses(source, target, guard=DEFAULT_PRODUCT_GUARD, known=()):
     target elements the caller already has witnesses for: the search
     backtracks as soon as the distinguished elements are assigned one of
     them, so they are never searched below, and the other keys and their
-    witnesses are those of the full map.  More than guard candidate tuples
-    (|target|^k for k distinguished elements) raise GuardExceededError
-    before the search.
+    witnesses are those of the full map.  More candidate tuples
+    (|target|^k for k distinguished elements) than the size guard raise
+    GuardExceededError before the search.
     """
     candidates = len(target.domain) ** len(source.distinguished)
-    check_guard(candidates, guard, f"image would have {candidates} candidate tuples")
+    check_guard(candidates, f"image would have {candidates} candidate tuples")
     csp = _Csp(source.structure, target)
     dist = [source.structure.rank[e] for e in source.distinguished]
     rank = target.rank
@@ -354,13 +354,13 @@ def image_witnesses(source, target, guard=DEFAULT_PRODUCT_GUARD, known=()):
     }
 
 
-def decide_php(inst, guard=DEFAULT_PRODUCT_GUARD):
+def decide_php(inst):
     """Decide whether the direct product of the factors maps into the target.
 
-    A product with more than guard elements or tuples per relation raises
-    GuardExceededError before the search.
+    A product with more elements or tuples per relation than the size guard
+    raises GuardExceededError before the search.
     """
-    prod = product(inst.factors, guard=guard)
+    prod = product(inst.factors)
     hom = find_homomorphism(prod, inst.target)
     return PhpVerdict(hom is not None, hom)
 

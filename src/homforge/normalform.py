@@ -10,7 +10,6 @@ restrict_hom_digraph reads an original witness back off a transformed one.
 """
 
 from .core import (
-    DEFAULT_PRODUCT_GUARD,
     Homomorphism,
     PhpInstance,
     Signature,
@@ -61,27 +60,27 @@ def star_transform(s):
     return Structure(sig, s.domain + (ZERO,), interp)
 
 
-def merge_relations(s, guard=DEFAULT_PRODUCT_GUARD):
+def merge_relations(s):
     """Collapse a two-relation structure into one relation: cartesian product P x R.
 
     The relation first in the canonical order, by name (P after star_transform),
-    gives each merged tuple its first block.  More than guard merged tuples
-    raise GuardExceededError before any is built.
+    gives each merged tuple its first block.  More merged tuples than the
+    size guard raise GuardExceededError before any is built.
     """
     if len(s.signature.relations) != 2:
         raise InvalidStructureError("merge needs exactly two relations")
     (n1, a1), (n2, a2) = s.signature.relations
     count = len(s.rows[n1]) * len(s.rows[n2])
-    check_guard(count, guard, f"merged relation would have {count} tuples")
+    check_guard(count, f"merged relation would have {count} tuples")
     rel2 = s.relation(n2)
     tuples = tuple(p + r for p in s.relation(n1) for r in rel2)
     sig = Signature(((STAR_MERGED_RELATION, a1 + a2),))
     return Structure(sig, s.domain, {STAR_MERGED_RELATION: tuples})
 
 
-def single_relation_transform(inst, guard=DEFAULT_PRODUCT_GUARD):
+def single_relation_transform(inst):
     """Apply star then merge uniformly to every factor and the target."""
-    convert = lambda s: merge_relations(star_transform(s), guard)
+    convert = lambda s: merge_relations(star_transform(s))
     return PhpInstance(tuple(convert(f) for f in inst.factors), convert(inst.target))
 
 
@@ -107,23 +106,24 @@ def _single_relation(s):
     return rels[0]
 
 
-def pad_first_coordinate(s, guard=DEFAULT_PRODUCT_GUARD):
+def pad_first_coordinate(s):
     """Raise the arity by one so the first coordinate projects onto the domain.
 
-    More than guard padded tuples raise GuardExceededError before any is built.
+    More padded tuples than the size guard raise GuardExceededError before
+    any is built.
     """
     name, arity = _single_relation(s)
     count = len(s.domain) * len(s.rows[name])
-    check_guard(count, guard, f"padded relation would have {count} tuples")
+    check_guard(count, f"padded relation would have {count} tuples")
     rel = s.relation(name)
     tuples = tuple((c,) + t for c in s.domain for t in rel)
     return Structure(Signature(((name, arity + 1),)), s.domain, {name: tuples})
 
 
-def pad_instance(inst, guard=DEFAULT_PRODUCT_GUARD):
+def pad_instance(inst):
     return PhpInstance(
-        tuple(pad_first_coordinate(f, guard) for f in inst.factors),
-        pad_first_coordinate(inst.target, guard),
+        tuple(pad_first_coordinate(f) for f in inst.factors),
+        pad_first_coordinate(inst.target),
     )
 
 
@@ -183,9 +183,9 @@ def gadget_digraph(s, with_sinks=False):
     return Structure(Signature((("E", 2),)), tuple(nodes), {"E": tuple(edges)})
 
 
-def digraph_transform(inst, guard=DEFAULT_PRODUCT_GUARD):
+def digraph_transform(inst):
     """Pad then gadget every structure; only the target receives sink nodes."""
-    padded = pad_instance(inst, guard)
+    padded = pad_instance(inst)
     return PhpInstance(
         tuple(gadget_digraph(f, with_sinks=False) for f in padded.factors),
         gadget_digraph(padded.target, with_sinks=True),

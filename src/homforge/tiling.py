@@ -14,16 +14,7 @@ superset of the successor pieces and is kept for study only.
 
 from dataclasses import dataclass
 
-from .core import (
-    DEFAULT_PRODUCT_GUARD,
-    PhpInstance,
-    Signature,
-    Structure,
-    load_json,
-    string_list,
-    string_rows,
-    validate_php_witness,
-)
+from .core import PhpInstance, Signature, Structure, load_json, string_list, string_rows
 from .errors import GuardExceededError, InvalidStructureError
 
 MODES = ("exact", "paper-literal")
@@ -194,13 +185,12 @@ def coordinate_element(x, y, m):
     return tuple(format(x, f"0{m}b") + format(y, f"0{m}b"))
 
 
-def decode_hom_to_tiling(hom, inst, guard=DEFAULT_PRODUCT_GUARD):
-    """Read a PHP witness back as a grid assignment.
+def decode_hom_to_tiling(hom, inst):
+    """Read a PHP witness of the exact encoding back as a grid assignment.
 
-    The map is first checked against the exact encoding, whose product is
-    built under guard; an invalid map raises NotAHomomorphismError.
+    Only the grid cells are read; the map is not checked here, so check it
+    against the encoded product first (Homomorphism.validate).
     """
-    validate_php_witness(encode_tiling_php(inst), hom, guard)
     m = inst.m
     n = 2**m
     return {

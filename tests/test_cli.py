@@ -180,9 +180,10 @@ def test_every_size_check_sees_the_guard(files, monkeypatch, capsys):
     real = core.check_guard
     guards = []
 
-    def spy(count, guard, what):
-        guards.append(guard)
-        real(count, guard, what)
+    def spy(count, what):
+        # the guard this check compares with, read as check_guard reads it
+        guards.append(core.size_guard())
+        real(count, what)
 
     for module in modules:
         if getattr(module, "check_guard", None) is real:
@@ -347,8 +348,8 @@ def test_check_hom_invalid_witness_exits_4(files, monkeypatch, capsys):
     # edge -> edge: the witness is the identity, and (b) -> a sends the edge to (a, a)
     decide_php = cli.decide_php
 
-    def wrong_witness(inst, guard):
-        verdict = decide_php(inst, guard)
+    def wrong_witness(inst):
+        verdict = decide_php(inst)
         mapping = dict(verdict.witness.mapping)
         assert mapping[("b",)] == "b"
         mapping[("b",)] = "a"
@@ -376,8 +377,8 @@ def test_cqdef_check_invalid_certificate_exits_4(
     rel.write_text(json.dumps([["a"]]))
     decide = cli.cqdef.decide_cq_definability
 
-    def corrupt(instance, s_tuples, guard):
-        verdict = decide(instance, s_tuples, guard)
+    def corrupt(instance, s_tuples):
+        verdict = decide(instance, s_tuples)
         assert verdict.witness_tuple == ("v",)
         if corruption == "tuple in S":
             return NotDefinable(("a",), verdict.witness_hom)
@@ -415,8 +416,8 @@ def test_solve_tiling_invalid_tiling_exits_4(tmp_path, monkeypatch, capsys, corr
     else:
         decode = cli.decode_hom_to_tiling
 
-        def corrupt(hom, inst, guard):
-            grid = decode(hom, inst, guard)
+        def corrupt(hom, inst):
+            grid = decode(hom, inst)
             assert grid[(1, 0)] == "k"
             return {**grid, (1, 0): "w"}
 

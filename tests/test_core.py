@@ -1,8 +1,12 @@
+import importlib
+import inspect
 import itertools
+import pkgutil
 import random
 
 import pytest
 
+import homforge
 from homforge import core
 from homforge.core import (
     Homomorphism,
@@ -172,10 +176,11 @@ def test_product_signature_mismatch():
         product([ONE_EDGE, other])
 
 
-def test_product_guard_reports_cardinality():
+def test_product_guard_reports_cardinality(monkeypatch):
     big = digraph(tuple(f"v{i}" for i in range(10)), ())
+    monkeypatch.setenv("HOMFORGE_GUARD", "50")
     with pytest.raises(GuardExceededError) as exc:
-        product([big, big], guard=50)
+        product([big, big])
     assert exc.value.cardinality == 100
     assert str(exc.value) == "product domain would have 100 elements (guard 50)"
 
@@ -187,8 +192,8 @@ def test_product_relation_guard_fires_before_the_domain_is_enumerated(monkeypatc
     enumerated = []
     real = core.product_domain
 
-    def spy(factors, guard):
-        elements = real(factors, guard)
+    def spy(factors):
+        elements = real(factors)
 
         def consume():
             enumerated.append(True)
@@ -197,14 +202,34 @@ def test_product_relation_guard_fires_before_the_domain_is_enumerated(monkeypatc
         return consume()
 
     monkeypatch.setattr(core, "product_domain", spy)
-    assert len(product([complete, complete], guard=256).domain) == 16
+    monkeypatch.setenv("HOMFORGE_GUARD", "256")
+    assert len(product([complete, complete]).domain) == 16
     assert enumerated  # the spy sees an enumeration when the guard passes
     enumerated.clear()
+    monkeypatch.setenv("HOMFORGE_GUARD", "100")
     with pytest.raises(GuardExceededError) as exc:
-        product([complete, complete], guard=100)
+        product([complete, complete])
     assert exc.value.cardinality == 256
     assert str(exc.value) == "product relation 'E' would have 256 tuples (guard 100)"
     assert not enumerated
+
+
+def test_no_public_function_takes_a_guard():
+    # check_guard reads the guard itself (size_guard), so none is passed down
+    takes_guard = []
+    for info in pkgutil.iter_modules(homforge.__path__):
+        module = importlib.import_module(f"homforge.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members = [(f"{name}.{n}", getattr(obj, n)) for n in vars(obj)]
+            for qualname, fn in members:
+                if inspect.isroutine(fn) and not qualname.rsplit(".", 1)[-1].startswith("_"):
+                    if "guard" in inspect.signature(fn).parameters:
+                        takes_guard.append(f"{module.__name__}.{qualname}")
+    assert takes_guard == []
 
 
 def test_projections_are_homomorphisms():

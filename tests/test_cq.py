@@ -102,15 +102,17 @@ def test_evaluate_self_loop_query():
     assert evaluate(q, s) == {("v",)}
 
 
-def test_evaluate_guards_the_image_candidates():
+def test_evaluate_guards_the_image_candidates(monkeypatch):
     nodes = tuple(f"v{i}" for i in range(10))
     complete = digraph(nodes, [(a, b) for a in nodes for b in nodes])
     xs = ("x1", "x2", "x3")
     q = ConjunctiveQuery(xs, (), tuple(("E", (x, x)) for x in xs))
+    monkeypatch.setenv("HOMFORGE_GUARD", "999")
     with pytest.raises(GuardExceededError) as exc:
-        evaluate(q, complete, guard=999)
+        evaluate(q, complete)
     assert exc.value.cardinality == 1000
     assert str(exc.value) == "image would have 1000 candidate tuples (guard 999)"
+    monkeypatch.delenv("HOMFORGE_GUARD")
     assert len(evaluate(q, complete)) == 1000
 
 

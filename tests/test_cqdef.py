@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from homforge.core import DEFAULT_PRODUCT_GUARD, PhpInstance, digraph, product
+from homforge.core import PhpInstance, digraph, product
 from homforge.cq import evaluate
 from homforge.cqdef import (
     Definable,
@@ -99,13 +99,15 @@ def test_validator_checks_s_as_the_decider_does(s_tuples, message):
     assert str(decided.value) == str(validated.value) == message
 
 
-def test_image_candidates_are_guarded():
+def test_image_candidates_are_guarded(monkeypatch):
     nodes = tuple(f"v{i}" for i in range(10))
     complete = digraph(nodes, [(a, b) for a in nodes for b in nodes])
     # one tuple of S: the pointed product has 10 elements, the image 10^3 candidates
+    monkeypatch.setenv("HOMFORGE_GUARD", "999")
     with pytest.raises(GuardExceededError) as exc:
-        decide_cq_definability(complete, [("v0", "v1", "v2")], guard=999)
+        decide_cq_definability(complete, [("v0", "v1", "v2")])
     assert exc.value.cardinality == 1000
+    monkeypatch.delenv("HOMFORGE_GUARD")
     assert isinstance(decide_cq_definability(complete, [("v0", "v1", "v2")]), NotDefinable)
 
 
@@ -155,7 +157,7 @@ def test_witness_tuple_is_the_least_image_outside_s():
 
 def _reference_verdict(instance, s_rows):
     """The least image outside S of the full image map, or None when there is none."""
-    pointed = _pointed_product(instance, s_rows, DEFAULT_PRODUCT_GUARD)[1]
+    pointed = _pointed_product(instance, s_rows)[1]
     images = image_witnesses(pointed, instance)
     for image, hom in images.items():
         if image not in set(s_rows):
@@ -187,7 +189,7 @@ def test_skipping_s_changes_no_answer():
         s_rows = [tuple(rng.choice(instance.domain) for _ in range(k)) for _ in range(size)]
         if rng.random() < 0.4:
             s_rows[-1] = (s_rows[0][0],) * k  # a tuple that repeats a coordinate
-        pointed = _pointed_product(instance, s_rows, DEFAULT_PRODUCT_GUARD)[1]
+        pointed = _pointed_product(instance, s_rows)[1]
         full = image_witnesses(pointed, instance)
         outside = image_witnesses(pointed, instance, known=set(s_rows))
         dist = pointed.distinguished

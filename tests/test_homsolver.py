@@ -13,7 +13,7 @@ from homforge.core import (
     product,
 )
 from homforge import homsolver
-from homforge.errors import SignatureMismatchError
+from homforge.errors import SignatureMismatchError, UsageError
 from homforge.homsolver import (
     _Csp,
     decide_php,
@@ -337,3 +337,11 @@ def test_search_deeper_than_default_recursion_limit():
     h = find_homomorphism(path, two_cycle)
     assert h is not None and h.is_valid(path, two_cycle)
     assert h.mapping[nodes[0]] == "u"
+
+
+def test_decide_php_rejects_a_guard_that_is_not_a_number(monkeypatch):
+    edge = digraph(("a", "b"), (("a", "b"),))
+    monkeypatch.setenv("HOMFORGE_GUARD", "abc")
+    with pytest.raises(UsageError) as exc:
+        decide_php(PhpInstance((edge,), edge))
+    assert str(exc.value) == "HOMFORGE_GUARD must be a positive integer, got 'abc'"

@@ -68,7 +68,7 @@ def test_star_tuple_count():
         assert len(star.relation("R")) == 1 + s.tuple_count()
 
 
-def test_merge_relations_definition():
+def test_merge_relations_definition(monkeypatch):
     merged = merge_relations(star_transform(two_rel_example()))
     assert merged.signature.relations == (("R", 4),)
     star = star_transform(two_rel_example())
@@ -76,9 +76,11 @@ def test_merge_relations_definition():
         star.relation("R")
     )
     # |P| = 2 and |R| = 3
-    assert merge_relations(star, guard=6) == merged
+    monkeypatch.setenv("HOMFORGE_GUARD", "6")
+    assert merge_relations(star) == merged
+    monkeypatch.setenv("HOMFORGE_GUARD", "5")
     with pytest.raises(GuardExceededError) as exc:
-        merge_relations(star, guard=5)
+        merge_relations(star)
     assert exc.value.cardinality == 6
     assert str(exc.value) == "merged relation would have 6 tuples (guard 5)"
 
@@ -170,16 +172,32 @@ def test_lift_hom_star_guards_the_starred_product():
         lift_hom_star(hom, inst)
 
 
-def test_pad_first_coordinate_definition():
+def test_lift_hom_star_reads_the_guard_from_the_environment(monkeypatch):
+    # the product of two edges has 4 elements, the starred product 3 * 3 = 9
+    edge = digraph(("a", "b"), (("a", "b"),))
+    inst = PhpInstance((edge, edge), edge)
+    hom = projection(product(inst.factors), 0)
+    monkeypatch.setenv("HOMFORGE_GUARD", "8")
+    with pytest.raises(GuardExceededError) as exc:
+        lift_hom_star(hom, inst)
+    assert exc.value.cardinality == 9
+    assert str(exc.value) == "product domain would have 9 elements (guard 8)"
+    monkeypatch.setenv("HOMFORGE_GUARD", "9")
+    assert len(lift_hom_star(hom, inst).mapping) == 9
+
+
+def test_pad_first_coordinate_definition(monkeypatch):
     s = digraph(("a", "b"), (("a", "b"),))
     padded = pad_first_coordinate(s)
     assert padded.signature.relations == (("E", 3),)
     assert set(padded.relation("E")) == {("a", "a", "b"), ("b", "a", "b")}
     # first-coordinate projection is the full domain
     assert {t[0] for t in padded.relation("E")} == set(s.domain)
-    assert pad_first_coordinate(s, guard=2) == padded
+    monkeypatch.setenv("HOMFORGE_GUARD", "2")
+    assert pad_first_coordinate(s) == padded
+    monkeypatch.setenv("HOMFORGE_GUARD", "1")
     with pytest.raises(GuardExceededError) as exc:
-        pad_first_coordinate(s, guard=1)
+        pad_first_coordinate(s)
     assert exc.value.cardinality == 2
     assert str(exc.value) == "padded relation would have 2 tuples (guard 1)"
 

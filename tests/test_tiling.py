@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from homforge import cli, tiling
-from homforge.core import DEFAULT_PRODUCT_GUARD, PhpInstance, product, validate_php_witness
+from homforge import cli, core, tiling
+from homforge.core import Homomorphism, PhpInstance, product
 from homforge.errors import GuardExceededError, InvalidStructureError
 from homforge.homsolver import decide_php
 from homforge.tiling import (
@@ -173,16 +173,6 @@ def test_decode_checkerboard():
     assert check_tiling(decoded, inst)
 
 
-def test_decode_rejects_invalid_map():
-    from homforge.core import Homomorphism
-
-    inst = TilingInstance(CHECKER, ("w",))
-    from homforge.errors import NotAHomomorphismError
-
-    with pytest.raises(NotAHomomorphismError):
-        decode_hom_to_tiling(Homomorphism({}), inst)
-
-
 def test_binarized_encoding_same_verdict():
     for system, prefix in ((CHECKER, ("w",)), (STUCK, ("t",))):
         inst = TilingInstance(system, prefix)
@@ -321,7 +311,7 @@ def test_solve_tiling_guard_fires_before_encoding(tmp_path, capsys, monkeypatch)
     code, payload = _solve_tiling(capsys, checker, ["w", "k", "w", "k"])
     assert code == 3
     assert payload == {"error": "product domain would have 4^4 elements (guard 255)"}
-    args = argparse.Namespace(system=str(checker), prefix=["w", "k", "w", "k"], guard=255)
+    args = argparse.Namespace(system=str(checker), prefix=["w", "k", "w", "k"])
     with pytest.raises(GuardExceededError) as exc:
         cli.cmd_solve_tiling(args)
     assert exc.value.cardinality == 256
@@ -330,13 +320,45 @@ def test_solve_tiling_guard_fires_before_encoding(tmp_path, capsys, monkeypatch)
 
 
 def test_solve_tiling_checks_its_witness_under_the_guard(tmp_path, capsys, monkeypatch):
-    guards = []
+    checks = []
+    validate = core.Homomorphism.validate
 
-    def spy(inst, hom, guard=DEFAULT_PRODUCT_GUARD):
-        guards.append(guard)
-        validate_php_witness(inst, hom, guard)
+    def spy(hom, source, target):
+        # the guard the checked product was built under, and its size
+        checks.append((core.size_guard(), len(source.domain)))
+        validate(hom, source, target)
 
-    monkeypatch.setattr(tiling, "validate_php_witness", spy)
+    monkeypatch.setattr(core.Homomorphism, "validate", spy)
     monkeypatch.setenv("HOMFORGE_GUARD", "2000000")
     assert _solve_tiling(capsys, _checker_file(tmp_path), ["w", "k"])[0] == 0
-    assert guards == [2000000]
+    assert checks == [(2000000, 16)]
+
+
+def test_solve_tiling_builds_one_product_and_encodes_once(tmp_path, capsys, monkeypatch):
+    # the witness is checked against the product the search ran on
+    products, encodings = [], []
+    canonical = core.Structure._canonical
+    encode = tiling.encode_tiling_php
+
+    def build(cls, signature, domain, rows):
+        products.append(len(domain))
+        return canonical(signature, domain, rows)
+
+    def spy(*args, **kwargs):
+        encodings.append(args)
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(core.Structure, "_canonical", classmethod(build))
+    for module in (cli, tiling):
+        monkeypatch.setattr(module, "encode_tiling_php", spy)
+    assert _solve_tiling(capsys, _checker_file(tmp_path), ["w", "k", "w"])[0] == 0
+    assert products == [64]
+    assert len(encodings) == 1
+
+
+def test_solve_tiling_rejects_an_empty_witness(tmp_path, capsys, monkeypatch):
+    # a map from the search that misses every cell fails the witness check
+    monkeypatch.setattr(cli, "find_homomorphism", lambda *args: Homomorphism({}))
+    code, payload = _solve_tiling(capsys, _checker_file(tmp_path), ["w"])
+    assert code == 4
+    assert payload["error"].startswith("certificate check failed")
