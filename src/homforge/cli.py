@@ -4,9 +4,10 @@ All machine output is a single JSON document on stdout (pretty-printed with
 --pretty).  Exit codes: 0 = decided YES / Definable, 1 = decided NO /
 NotDefinable, 2 = usage or parse error, 3 = a resource guard was hit,
 4 = internal error (an unexpected exception, or an answer whose certificate
-fails its check; the traceback goes to stderr).  check-hom validates every
-YES witness, solve-tiling every witness (against the product it searched)
-and tiling, and cqdef check every NotDefinable certificate before printing.
+fails its check; the traceback goes to stderr).  Each decider checks its
+answer against the structure its search ran on: decide_php (check-hom,
+solve-tiling) every witness, decide_cq_definability (cqdef check) every
+NotDefinable certificate.  solve-tiling also checks the decoded grid.
 No command passes a size guard on: core.check_guard reads HOMFORGE_GUARD
 itself, and main reads it once first, so a bad value exits 2 whatever the
 command.
@@ -34,11 +35,10 @@ from .core import (
     size_guard,
     string_rows,
     structure_to_dict,
-    validate_php_witness,
 )
 from .cq import canonical_structure, evaluate, load_query, query_to_dict
 from .errors import CertificateError, GuardExceededError, HomforgeError
-from .homsolver import decide_php, find_homomorphism
+from .homsolver import decide_php
 from .tiling import (
     TilingInstance,
     check_tiling,
@@ -87,10 +87,8 @@ def cmd_check_hom(args):
     inst = _load_instance(args)
     verdict = decide_php(inst)
     payload = {"answer": "YES" if verdict.yes else "NO"}
-    if verdict.yes:
-        validate_php_witness(inst, verdict.witness)
-        if args.witness:
-            payload["witness"] = _hom_to_json(verdict.witness)
+    if verdict.yes and args.witness:
+        payload["witness"] = _hom_to_json(verdict.witness)
     return (EXIT_YES if verdict.yes else EXIT_NO), payload
 
 
@@ -125,12 +123,10 @@ def cmd_solve_tiling(args):
     # every cell, row-major, so the first solution is the least grid in that
     # order with tiles tried in sorted order
     cells = [coordinate_element(x, y, m) for y in range(n) for x in range(n)]
-    prod = product(php.factors)
-    hom = find_homomorphism(prod, php.target, cells)
-    if hom is None:
+    verdict = decide_php(php, cells)
+    if not verdict.yes:
         return EXIT_NO, {"answer": "NO"}
-    hom.validate(prod, php.target)
-    assignment = decode_hom_to_tiling(hom, inst)
+    assignment = decode_hom_to_tiling(verdict.witness, inst)
     if not check_tiling(assignment, inst):
         raise CertificateError("the decoded grid is not a valid tiling")
     grid = {f"{x},{y}": t for (x, y), t in assignment.items()}
@@ -189,7 +185,6 @@ def cmd_cqdef_check(args):
             "answer": "Definable",
             "query": query_to_dict(verdict.query),
         }
-    cqdef.validate_not_definable(s, s_tuples, verdict)
     if verdict.isolated_position is not None:
         return EXIT_NO, {
             "answer": "NotDefinable",

@@ -22,6 +22,9 @@ duplicates, and for every relation of the signature rows[name] lists
 distinct rank tuples of the relation's arity in ascending order.  Every
 other builder, and every file read, goes through the checking constructor.
 
+Homomorphism.validate is the one certificate check.  Each decider calls it
+on the structure its own search ran on, so no check builds a product again.
+
 Every step that multiplies sizes calls check_guard before it builds
 anything, and check_guard reads the guard itself from size_guard, the one
 reader of HOMFORGE_GUARD; no function takes the guard as an argument.
@@ -304,15 +307,6 @@ def product(factors):
             cols = [[r * size + c for r in col for c in fcol] for col, fcol in zip(cols, fcols)]
         rows[name] = tuple(sorted(zip(*cols)))
     return Structure._canonical(sig, domain, rows)
-
-
-def validate_php_witness(inst, hom):
-    """Check a PHP witness against the built product, independently of any search.
-
-    An invalid map raises NotAHomomorphismError naming the first violation.
-    The product is built under the size guard, as decide_php builds it.
-    """
-    hom.validate(product(inst.factors), inst.target)
 
 
 # --- JSON file format -------------------------------------------------------

@@ -80,36 +80,38 @@ def decide_cq_definability(instance, s_tuples):
     S, which the projections already witness, so it only looks for images
     that can refute definability.  When the image is S but a
     distinguished element occurs in no tuple, NotDefinable names its
-    position instead.  A pointed product with more elements or tuples per
-    relation than the size guard, or more candidate image tuples, raises
-    GuardExceededError.
+    position instead.  Each NotDefinable is checked against the pointed
+    product the search ran on before it is returned.  A pointed product
+    with more elements or tuples per relation than the size guard, or more
+    candidate image tuples, raises GuardExceededError.
     """
     s_set, pointed = _pointed_product(instance, s_tuples)
     # image_witnesses lists the images outside S in lexicographic order of their ranks
     outside = image_witnesses(pointed, instance, known=s_set)
     if outside:
-        return NotDefinable(*next(iter(outside.items())))
-    # image always contains S, so image == S here
-    pointed_product = pointed.structure
-    used = {v for rows in pointed_product.rows.values() for row in rows for v in row}
-    for j, d in enumerate(pointed.distinguished):
-        if pointed_product.rank[d] not in used:
-            return NotDefinable(None, None, isolated_position=j)
-    return Definable(canonical_query(pointed))
+        answer = NotDefinable(*next(iter(outside.items())))
+    else:
+        # image always contains S, so image == S here
+        used = {v for rows in pointed.structure.rows.values() for row in rows for v in row}
+        ranks = map(pointed.structure.rank.__getitem__, pointed.distinguished)
+        isolated = [j for j, r in enumerate(ranks) if r not in used]
+        if not isolated:
+            return Definable(canonical_query(pointed))
+        answer = NotDefinable(None, None, isolated_position=isolated[0])
+    _check_not_definable(instance, s_set, pointed, answer)
+    return answer
 
 
-def validate_not_definable(instance, s_tuples, answer):
+def _check_not_definable(instance, s_set, pointed, answer):
     """Check a NotDefinable answer for S over instance, independently of the search.
 
-    S is checked as decide_cq_definability checks it, and a bad S raises the
-    same InvalidStructureError.  The pointed product is rebuilt from the
-    instance and S sorted by rank.  A witness_hom must map it into the
+    s_set and pointed are S and its pointed product, as _pointed_product
+    returns them.  A witness_hom must map the pointed product into the
     instance and send its distinguished tuple to witness_tuple, which must
     lie outside S; an isolated_position must name a distinguished element
     that lies in no tuple.  A failed check raises CertificateError
     (NotAHomomorphismError for a map that is not a homomorphism).
     """
-    s_set, pointed = _pointed_product(instance, s_tuples)
     distinguished = pointed.distinguished
     j = answer.isolated_position
     if j is not None:

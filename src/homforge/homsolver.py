@@ -40,9 +40,9 @@ solution the search backtracks to the last prefix variable, so every
 assignment of the prefix yields its first solution only.  The callers
 differ only in the prefix:
 
-- find_homomorphism: the first solution and nothing more.  decide_php
-  passes no prefix; solve-tiling passes every grid cell in row-major order,
-  so the first solution is the least tiling in that order;
+- find_homomorphism, through decide_php: the first solution and nothing
+  more.  check-hom passes no prefix; solve-tiling passes every grid cell in
+  row-major order, so the first solution is the least tiling in that order;
 - image_witnesses: the distinguished elements, so one witness per
   achievable image tuple, in lexicographic order of the tuples; the tuples
   the caller already knows are backtracked from as soon as they are
@@ -354,14 +354,19 @@ def image_witnesses(source, target, known=()):
     }
 
 
-def decide_php(inst):
+def decide_php(inst, prefix=()):
     """Decide whether the direct product of the factors maps into the target.
 
-    A product with more elements or tuples per relation than the size guard
-    raises GuardExceededError before the search.
+    The product is built once: find_homomorphism searches it with prefix,
+    and Homomorphism.validate, which shares no code with the search, checks
+    a witness against it before it is returned.  A product with more
+    elements or tuples per relation than the size guard raises
+    GuardExceededError before the search.
     """
     prod = product(inst.factors)
-    hom = find_homomorphism(prod, inst.target)
+    hom = find_homomorphism(prod, inst.target, prefix)
+    if hom is not None:
+        hom.validate(prod, inst.target)
     return PhpVerdict(hom is not None, hom)
 
 

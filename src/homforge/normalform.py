@@ -15,8 +15,8 @@ from .core import (
     Signature,
     Structure,
     check_guard,
+    product,
     product_domain,
-    validate_php_witness,
 )
 from .errors import (
     CyclicStructureError,
@@ -92,7 +92,7 @@ def lift_hom_star(hom, inst):
     the merged (single-relation) instance, whose domains are unchanged.
     """
     elements = product_domain([star_transform(f) for f in inst.factors])
-    validate_php_witness(inst, hom)
+    hom.validate(product(inst.factors), inst.target)
     mapping = {}
     for e in elements:
         mapping[e] = ZERO if ZERO in e else hom.mapping[e]
@@ -206,7 +206,7 @@ def lift_hom_digraph(hom, inst):
     padded = pad_instance(inst)
     gadgets = [gadget_digraph(f, with_sinks=False) for f in padded.factors]
     elements = product_domain(gadgets)
-    validate_php_witness(padded, hom)
+    hom.validate(product(padded.factors), padded.target)
     name, r = _single_relation(padded.target)
 
     least_base = tuple(f.domain[0] for f in padded.factors) if all(
@@ -244,7 +244,8 @@ def lift_hom_digraph(hom, inst):
 
 def restrict_hom_digraph(hom, inst):
     """Read a padded-instance witness off a transformed-instance witness."""
-    validate_php_witness(digraph_transform(inst), hom)
+    transformed = digraph_transform(inst)
+    hom.validate(product(transformed.factors), transformed.target)
     padded = pad_instance(inst)
     mapping = {}
     for e in product_domain(padded.factors):

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import homforge
-from homforge import cli, core
+from homforge import cli, core, cqdef, homsolver
 from homforge.core import (
     Homomorphism,
     digraph,
@@ -18,7 +18,7 @@ from homforge.core import (
     serialize,
 )
 from homforge.cqdef import NotDefinable
-from homforge.homsolver import PhpVerdict
+from homforge.errors import CertificateError
 
 
 def run_cli(*args, env=None):
@@ -346,16 +346,15 @@ def _assert_certificate_failure(code, capsys):
 
 def test_check_hom_invalid_witness_exits_4(files, monkeypatch, capsys):
     # edge -> edge: the witness is the identity, and (b) -> a sends the edge to (a, a)
-    decide_php = cli.decide_php
+    find = homsolver.find_homomorphism
 
-    def wrong_witness(inst):
-        verdict = decide_php(inst)
-        mapping = dict(verdict.witness.mapping)
+    def wrong_witness(source, target, prefix):
+        mapping = dict(find(source, target, prefix).mapping)
         assert mapping[("b",)] == "b"
         mapping[("b",)] = "a"
-        return PhpVerdict(True, Homomorphism(mapping))
+        return Homomorphism(mapping)
 
-    monkeypatch.setattr(cli, "decide_php", wrong_witness)
+    monkeypatch.setattr(homsolver, "find_homomorphism", wrong_witness)
     edge = str(files / "edge.json")
     for extra in ((), ("--witness",)):
         _assert_certificate_failure(
@@ -371,27 +370,34 @@ def test_cqdef_check_invalid_certificate_exits_4(
 ):
     # a -> v -> v: the image of a is {a, v}, so S = {(a)} is not definable and
     # the certificate maps the pointed copy (a) -> v, (v) -> v
+    instance = digraph(("a", "v"), (("a", "v"), ("v", "v")))
     structure = tmp_path / "s.json"
-    save_structure(digraph(("a", "v"), (("a", "v"), ("v", "v"))), structure)
+    save_structure(instance, structure)
     rel = tmp_path / "rel.json"
     rel.write_text(json.dumps([["a"]]))
-    decide = cli.cqdef.decide_cq_definability
+    if corruption == "isolated":
+        # the search never yields this answer, so the decider's check is called
+        # directly: (a) has an edge, so position 0 is not isolated
+        s_set, pointed = cqdef._pointed_product(instance, [("a",)])
+        with pytest.raises(CertificateError, match="lies in a tuple"):
+            cqdef._check_not_definable(
+                instance, s_set, pointed, NotDefinable(None, None, isolated_position=0)
+            )
+        return
+    search = cqdef.image_witnesses
 
-    def corrupt(instance, s_tuples):
-        verdict = decide(instance, s_tuples)
-        assert verdict.witness_tuple == ("v",)
+    def corrupt(source, target, known):
+        images = search(source, target, known)
+        assert list(images) == [("v",)]
         if corruption == "tuple in S":
-            return NotDefinable(("a",), verdict.witness_hom)
+            return {("a",): images[("v",)]}
         if corruption == "not a homomorphism":
             # the edge ((a), (v)) goes to (v, a), which is no edge
-            return NotDefinable(("v",), Homomorphism({("a",): "v", ("v",): "a"}))
-        if corruption == "other image":
-            # still a homomorphism, but it sends the distinguished (a) to a
-            return NotDefinable(("v",), Homomorphism({("a",): "a", ("v",): "v"}))
-        # (a) has an edge, so position 0 is not isolated
-        return NotDefinable(None, None, isolated_position=0)
+            return {("v",): Homomorphism({("a",): "v", ("v",): "a"})}
+        # still a homomorphism, but it sends the distinguished (a) to a
+        return {("v",): Homomorphism({("a",): "a", ("v",): "v"})}
 
-    monkeypatch.setattr(cli.cqdef, "decide_cq_definability", corrupt)
+    monkeypatch.setattr(cqdef, "image_witnesses", corrupt)
     for extra in ((), ("--witness",)):
         code = cli.main(["cqdef", "check", str(structure), "--relation", str(rel), *extra])
         _assert_certificate_failure(code, capsys)
@@ -404,7 +410,7 @@ def test_solve_tiling_invalid_tiling_exits_4(tmp_path, monkeypatch, capsys, corr
     system.write_text(json.dumps({"tiles": ["k", "w"], "hcompat": [["k", "w"], ["w", "k"]],
                                   "vcompat": [["k", "w"], ["w", "k"]]}))
     if corruption == "search":
-        find = cli.find_homomorphism
+        find = homsolver.find_homomorphism
 
         def corrupt(source, target, prefix):
             mapping = dict(find(source, target, prefix).mapping)
@@ -412,7 +418,7 @@ def test_solve_tiling_invalid_tiling_exits_4(tmp_path, monkeypatch, capsys, corr
             mapping[("1", "0")] = "w"
             return Homomorphism(mapping)
 
-        monkeypatch.setattr(cli, "find_homomorphism", corrupt)
+        monkeypatch.setattr(homsolver, "find_homomorphism", corrupt)
     else:
         decode = cli.decode_hom_to_tiling
 
@@ -424,6 +430,48 @@ def test_solve_tiling_invalid_tiling_exits_4(tmp_path, monkeypatch, capsys, corr
         monkeypatch.setattr(cli, "decode_hom_to_tiling", corrupt)
     code = cli.main(["solve-tiling", "--system", str(system), "--prefix", "w"])
     _assert_certificate_failure(code, capsys)
+
+
+def _spy_products(monkeypatch):
+    """The domain size of every product built from here on, in order."""
+    sizes = []
+    canonical = core.Structure._canonical
+
+    def build(cls, signature, domain, rows):
+        sizes.append(len(domain))
+        return canonical(signature, domain, rows)
+
+    monkeypatch.setattr(core.Structure, "_canonical", classmethod(build))
+    return sizes
+
+
+def test_check_hom_builds_one_product(files, monkeypatch, capsys):
+    # the witness is checked against the product the search ran on
+    products = _spy_products(monkeypatch)
+    edge = str(files / "edge.json")
+    argv = ["check-hom", edge, edge, "--target", str(files / "loop.json"), "--witness"]
+    assert cli.main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)["witness"]) == 4
+    assert products == [4]
+
+
+@pytest.mark.parametrize("s_rows, code, size", [([["a"], ["c"]], 1, 9), ([["a"]], 0, 3)])
+def test_cqdef_check_builds_one_product(tmp_path, monkeypatch, capsys, s_rows, code, size):
+    # a -> b -> c: S = {(a), (c)} is refuted by the image (b), checked against
+    # the pointed product the search ran on; S = {(a)} is definable
+    structure = tmp_path / "path.json"
+    save_structure(digraph(("a", "b", "c"), (("a", "b"), ("b", "c"))), structure)
+    rel = tmp_path / "rel.json"
+    rel.write_text(json.dumps(s_rows))
+    products = _spy_products(monkeypatch)
+    argv = ["cqdef", "check", str(structure), "--relation", str(rel), "--witness"]
+    assert cli.main(argv) == code
+    payload = json.loads(capsys.readouterr().out)
+    if code:
+        assert payload["witness_tuple"] == ["b"] and "witness_hom" in payload
+    else:
+        assert payload["answer"] == "Definable"
+    assert products == [size]
 
 
 def test_product_output_reparses(files, tmp_path):

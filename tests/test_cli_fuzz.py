@@ -25,11 +25,9 @@ from hypothesis import strategies as st
 from homforge import cli
 from homforge.core import (
     Homomorphism,
-    PhpInstance,
     digraph,
     product,
     save_structure,
-    validate_php_witness,
 )
 from homforge.cq import evaluate, query_from_dict
 
@@ -334,7 +332,7 @@ def test_check_hom_witness_validates(workdir, factors, target):
     assert code in (0, 1), payload
     if code == 0:
         hom = Homomorphism({_element(k): v for k, v in payload["witness"].items()})
-        validate_php_witness(PhpInstance(tuple(factors), target), hom)
+        hom.validate(product(factors), target)
     else:
         assert payload == {"answer": "NO"}
         assert not helpers.exhaustive_hom_exists(product(factors), target)

@@ -3,19 +3,22 @@ import random
 
 import pytest
 
-from homforge.core import PhpInstance, digraph, product
+from homforge import cqdef
+from homforge.core import Homomorphism, PhpInstance, digraph, product
 from homforge.cq import evaluate
 from homforge.cqdef import (
     Definable,
     NotDefinable,
+    _check_not_definable,
     _pointed_product,
     decide_cq_definability,
     reduce_php_to_nondefinability,
-    validate_not_definable,
 )
 from homforge.errors import (
+    CertificateError,
     GuardExceededError,
     InvalidStructureError,
+    NotAHomomorphismError,
     SignatureMismatchError,
 )
 from homforge.homsolver import decide_php, image_witnesses
@@ -28,6 +31,11 @@ from test_acceptance import _tiny_single_relation_corpus
 
 LOOP = digraph(("v",), (("v", "v"),))
 PATH3 = digraph(("a", "b", "c"), (("a", "b"), ("b", "c")))
+
+
+def _check(instance, s_tuples, answer):
+    """The decider's own check of answer, against the pointed product of S."""
+    _check_not_definable(instance, *_pointed_product(instance, s_tuples), answer)
 
 
 def test_self_loop_is_definable():
@@ -59,13 +67,13 @@ def test_isolated_distinguished_element_is_not_definable():
     assert decide_cq_definability(vertex, [("v",)]) == NotDefinable(
         None, None, isolated_position=0
     )
-    validate_not_definable(vertex, [("v",)], NotDefinable(None, None, 0))
+    _check(vertex, [("v",)], NotDefinable(None, None, 0))
     # in the square of a -> b, (a, a) has an edge and (a, b) none, while the
     # image of ((a, a), (a, b)) is exactly S
     edge = digraph(("a", "b"), (("a", "b"),))
     verdict = decide_cq_definability(edge, [("a", "a"), ("a", "b")])
     assert verdict == NotDefinable(None, None, isolated_position=1)
-    validate_not_definable(edge, [("a", "a"), ("a", "b")], verdict)
+    _check(edge, [("a", "a"), ("a", "b")], verdict)
 
 
 def test_empty_s_rejected():
@@ -91,12 +99,32 @@ def test_mixed_arity_s_rejected():
     ids=["empty", "mixed-lengths", "unknown-element", "length-first", "unknown-first"],
 )
 def test_validator_checks_s_as_the_decider_does(s_tuples, message):
-    answer = NotDefinable(("b",), None)
+    # S is read once, by the decider; its check reuses that S and never reads it
     with pytest.raises(InvalidStructureError) as decided:
         decide_cq_definability(PATH3, s_tuples)
-    with pytest.raises(InvalidStructureError) as validated:
-        validate_not_definable(PATH3, s_tuples, answer)
-    assert str(decided.value) == str(validated.value) == message
+    assert str(decided.value) == message
+
+
+@pytest.mark.parametrize(
+    "corruption, error",
+    [("not a homomorphism", NotAHomomorphismError), ("tuple in S", CertificateError)],
+)
+def test_decider_checks_its_own_certificate(monkeypatch, corruption, error):
+    # a -> b -> c with S = {(a), (c)}: the search sends the distinguished
+    # (a, c) to b, and a corrupt witness fails the check before it is returned
+    search = cqdef.image_witnesses
+
+    def corrupt(source, target, known):
+        [(image, hom)] = search(source, target, known).items()
+        assert image == ("b",)
+        if corruption == "not a homomorphism":
+            # the edge ((a, b), (b, c)) leaves c, which has no edge
+            return {image: Homomorphism({**hom.mapping, ("a", "b"): "c"})}
+        return {("c",): hom}
+
+    monkeypatch.setattr(cqdef, "image_witnesses", corrupt)
+    with pytest.raises(error):
+        decide_cq_definability(PATH3, [("a",), ("c",)])
 
 
 def test_image_candidates_are_guarded(monkeypatch):
@@ -150,7 +178,7 @@ def test_witness_tuple_is_the_least_image_outside_s():
         verdict = decide_cq_definability(s, s_rows)
         assert isinstance(verdict, NotDefinable)
         assert verdict.witness_tuple == min(outside, key=helpers.reference_tuple_key)
-        validate_not_definable(s, s_rows, verdict)
+        _check(s, s_rows, verdict)
         checked += 1
     assert checked >= 10
 

@@ -13,7 +13,7 @@ from homforge.core import (
     product,
 )
 from homforge import homsolver
-from homforge.errors import SignatureMismatchError, UsageError
+from homforge.errors import NotAHomomorphismError, SignatureMismatchError, UsageError
 from homforge.homsolver import (
     _Csp,
     decide_php,
@@ -337,6 +337,21 @@ def test_search_deeper_than_default_recursion_limit():
     h = find_homomorphism(path, two_cycle)
     assert h is not None and h.is_valid(path, two_cycle)
     assert h.mapping[nodes[0]] == "u"
+
+
+def test_decide_php_checks_the_witness_of_its_search(monkeypatch):
+    # the search runs on the product decide_php built, with its prefix, and a
+    # map from it that is no homomorphism raises instead of answering YES
+    calls = []
+
+    def wrong(source, target, prefix):
+        calls.append((source.domain, list(prefix)))
+        return Homomorphism({("a",): "a", ("b",): "a"})
+
+    monkeypatch.setattr(homsolver, "find_homomorphism", wrong)
+    with pytest.raises(NotAHomomorphismError, match="missing in target"):
+        decide_php(PhpInstance((ONE_EDGE,), ONE_EDGE), [("b",)])
+    assert calls == [((("a",), ("b",)), [("b",)])]
 
 
 def test_decide_php_rejects_a_guard_that_is_not_a_number(monkeypatch):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from homforge import cli, core, tiling
+from homforge import cli, core, homsolver, tiling
 from homforge.core import Homomorphism, PhpInstance, product
 from homforge.errors import GuardExceededError, InvalidStructureError
 from homforge.homsolver import decide_php
@@ -358,7 +358,7 @@ def test_solve_tiling_builds_one_product_and_encodes_once(tmp_path, capsys, monk
 
 def test_solve_tiling_rejects_an_empty_witness(tmp_path, capsys, monkeypatch):
     # a map from the search that misses every cell fails the witness check
-    monkeypatch.setattr(cli, "find_homomorphism", lambda *args: Homomorphism({}))
+    monkeypatch.setattr(homsolver, "find_homomorphism", lambda *args: Homomorphism({}))
     code, payload = _solve_tiling(capsys, _checker_file(tmp_path), ["w"])
     assert code == 4
     assert payload["error"].startswith("certificate check failed")
