@@ -12,15 +12,16 @@ No command passes a size guard on: core.check_guard reads HOMFORGE_GUARD
 itself, and main reads it once first, so a bad value exits 2 whatever the
 command.
 A plain argv is read straight from COMMANDS (see _quick_parse); help, usage
-and errors come from the full argparse tree of build_parser.  Files are
-written by core, byte-identical to json.dumps(..., sort_keys=True, indent=2).
+and errors come from the full argparse tree of build_parser, the only
+importer of argparse, so a plain call never loads it (nor traceback, which
+main imports only where it prints one).  Files are written by core,
+byte-identical to json.dumps(..., sort_keys=True, indent=2).
 """
 
-import argparse
 import json
 import os
 import sys
-import traceback
+import types
 
 from . import cqdef, normalform, tiling
 from .core import (
@@ -245,6 +246,8 @@ COMMANDS = {
 
 def build_parser():
     """The full argparse tree, which writes every help, usage and error text."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="homforge", description=COMMANDS[()][0])
     parser.add_argument("--pretty", action="store_true", help="indent JSON output")
     _add_children(parser, ())
@@ -265,7 +268,7 @@ def _add_children(parser, path):
 
 
 def _quick_parse(argv):
-    """The Namespace argparse returns for a plain, complete argv, read from COMMANDS.
+    """The namespace argparse returns for a plain, complete argv, read from COMMANDS.
 
     Plain: leading --pretty tokens, exact command words, then exact declared
     flags, each at most once with its values, and the positionals in one run;
@@ -328,7 +331,7 @@ def _quick_parse(argv):
             value = value if options.get("nargs") == "+" else value[0]
         values[name.lstrip("-").replace("-", "_") if name.startswith("-") else name] = value
     values["func"] = globals()[func]
-    return argparse.Namespace(**values)
+    return types.SimpleNamespace(**values)
 
 
 def _report(message, args, code):
@@ -355,6 +358,8 @@ def main(argv=None):
         return code
     except CertificateError as exc:
         # exits 0 and 1 are checked answers, so one that fails its check is a bug
+        import traceback
+
         traceback.print_exc()
         return _report(f"certificate check failed: {exc}", args, EXIT_INTERNAL)
     except GuardExceededError as exc:
@@ -364,6 +369,8 @@ def main(argv=None):
         return _report(str(exc), args, EXIT_USAGE)
     except Exception as exc:
         # exits 0 and 1 are decided answers, so a crash must not exit 1
+        import traceback
+
         traceback.print_exc()
         return _report(f"internal error: {type(exc).__name__}: {exc}", args, EXIT_INTERNAL)
 

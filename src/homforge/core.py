@@ -22,6 +22,18 @@ duplicates, and for every relation of the signature rows[name] lists
 distinct rank tuples of the relation's arity in ascending order.  Every
 other builder, and every file read, goes through the checking constructor.
 
+Every value record of the package (Signature, Structure, PointedStructure,
+PhpInstance and Homomorphism here; the verdicts, queries, reductions and
+tiling instances of the other modules) subclasses Record, which does for
+them what a frozen dataclass would, without importing dataclasses and the
+inspect, ast and dis modules it pulls in.  A record lists its fields as
+class annotations, in order, and a field's class attribute, when set, is
+its default.  Record gives the __init__ that takes the fields by position or
+name and then calls __post_init__; __eq__ (same class, equal fields),
+__hash__ and __repr__ over the fields; and a __setattr__ and __delattr__
+that raise.  __post_init__ or a custom __init__ stores a normalized value
+past them, with object.__setattr__ or vars(self).update.
+
 Homomorphism.validate is the one certificate check.  Each decider calls it
 on the structure its own search ran on, so no check builds a product again.
 
@@ -39,7 +51,6 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
 
 from .errors import (
     GuardExceededError,
@@ -73,8 +84,54 @@ def element_label(e):
     return "[" + ",".join([_quote(c) if isinstance(c, str) else element_label(c) for c in e]) + "]"
 
 
-@dataclass(frozen=True)
-class Signature:
+class Record:
+    """Base of the package's frozen value records (see the module docstring)."""
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = type(self), self._fields
+        values = dict(zip(fields, args))
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif name in vars(cls):
+                values[name] = vars(cls)[name]
+        if len(args) > len(fields) or kwargs or len(values) < len(fields):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(fields)}")
+        vars(self).update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check and normalize the fields; records with invariants override it."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is frozen")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is frozen")
+
+    def _values(self):
+        return tuple(map(vars(self).__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Signature(Record):
     """(relation name, arity) pairs, sorted by name; declaration order is not kept."""
 
     relations: tuple
@@ -93,18 +150,17 @@ class Signature:
         return [n for n, _ in self.relations]
 
 
-@dataclass(frozen=True, init=False)
-class Structure:
+class Structure(Record):
     """A finite relational structure with canonically sorted domain and relations.
 
     Built as Structure(signature, domain, interp), where interp maps relation
     names to tuples of elements; the tuples are checked and kept as rows.
+    rank is kept beside the fields, outside eq, hash and repr.
     """
 
     signature: Signature
     domain: tuple
     rows: dict
-    rank: dict = field(init=False, compare=False, repr=False)
 
     def __init__(self, signature, domain, interp):
         dom = tuple(sorted(domain, key=element_key))
@@ -152,8 +208,7 @@ class Structure:
         return sum(len(rows) for rows in self.rows.values())
 
 
-@dataclass(frozen=True)
-class PointedStructure:
+class PointedStructure(Record):
     """A structure together with a distinguished tuple of its elements."""
 
     structure: Structure
@@ -166,8 +221,7 @@ class PointedStructure:
                 raise InvalidStructureError(f"distinguished element {e!r} not in domain")
 
 
-@dataclass(frozen=True)
-class PhpInstance:
+class PhpInstance(Record):
     """Factors A_1..A_n and a target B over one shared signature."""
 
     factors: tuple
@@ -182,8 +236,7 @@ class PhpInstance:
                 raise SignatureMismatchError("factors and target must share a signature")
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(Record):
     """A total element map; validity is checked explicitly, never assumed."""
 
     mapping: dict

@@ -6,10 +6,9 @@ tuple (the Chandra-Merlin correspondence).  Boolean queries are ordinary
 queries with an empty free-variable tuple.
 """
 
-from dataclasses import dataclass
-
 from .core import (
     PointedStructure,
+    Record,
     Structure,
     element_label,
     load_json,
@@ -19,8 +18,7 @@ from .errors import InvalidStructureError, UnsafeQueryError
 from .homsolver import image_set
 
 
-@dataclass(frozen=True)
-class ConjunctiveQuery:
+class ConjunctiveQuery(Record):
     free_vars: tuple
     bound_vars: tuple
     atoms: tuple  # of (relation name, variable tuple)

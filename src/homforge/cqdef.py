@@ -15,9 +15,7 @@ going to the j-th distinguished element, which then lies in a tuple; so an
 isolated distinguished element makes S not definable.
 """
 
-from dataclasses import dataclass
-
-from .core import Homomorphism, PointedStructure, Structure, product
+from .core import Homomorphism, PointedStructure, Record, Structure, product
 from .cq import ConjunctiveQuery, canonical_query
 from .errors import (
     CertificateError,
@@ -28,13 +26,11 @@ from .homsolver import image_witnesses
 from .normalform import max_path_length
 
 
-@dataclass(frozen=True)
-class Definable:
+class Definable(Record):
     query: ConjunctiveQuery
 
 
-@dataclass(frozen=True)
-class NotDefinable:
+class NotDefinable(Record):
     """A homomorphism certificate, or the position of an isolated distinguished element.
 
     Either witness_tuple and witness_hom are set, or isolated_position is
@@ -135,8 +131,7 @@ def _check_not_definable(instance, s_set, pointed, answer):
         )
 
 
-@dataclass(frozen=True)
-class CqDefReduction:
+class CqDefReduction(Record):
     """Output of the PHP -> non-definability reduction."""
 
     structure: Structure

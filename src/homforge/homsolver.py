@@ -54,18 +54,16 @@ results are deterministic.
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
 from operator import itemgetter
 
-from .core import Homomorphism, check_guard, product
+from .core import Homomorphism, Record, check_guard, product
 from .errors import SignatureMismatchError
 
 # entries a table's memo holds before it is emptied
 MEMO_LIMIT = 1 << 16
 
 
-@dataclass(frozen=True)
-class PhpVerdict:
+class PhpVerdict(Record):
     """Outcome of a PHP decision; the witness maps product elements to target elements."""
 
     yes: bool

@@ -12,9 +12,7 @@ uses the symmetric difference relation throughout, which realizes a strict
 superset of the successor pieces and is kept for study only.
 """
 
-from dataclasses import dataclass
-
-from .core import PhpInstance, Signature, Structure, load_json, string_list, string_rows
+from .core import PhpInstance, Record, Signature, Structure, load_json, string_list, string_rows
 from .errors import GuardExceededError, InvalidStructureError
 
 MODES = ("exact", "paper-literal")
@@ -28,8 +26,7 @@ S10 = (("1", "0"),)
 BRUTE_FORCE_MAX_M = 3
 
 
-@dataclass(frozen=True)
-class TileSystem:
+class TileSystem(Record):
     """Tiles, sorted whatever order they were declared in, and their compatibility pairs."""
 
     tiles: tuple
@@ -48,8 +45,7 @@ class TileSystem:
                 raise InvalidStructureError(f"compatibility pair {pair!r} is malformed")
 
 
-@dataclass(frozen=True)
-class TilingInstance:
+class TilingInstance(Record):
     system: TileSystem
     prefix: tuple  # t_1..t_m; m is the grid exponent
 

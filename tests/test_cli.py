@@ -642,3 +642,42 @@ def test_cli_byte_identical_across_runs(files, tmp_path):
         assert first.returncode in (0, 1) and second.returncode in (0, 1)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+
+# imported by a fresh interpreter running cli.main(argv[1:]): the modules
+# `import homforge.cli` added, then whether argparse was loaded by the end
+BUDGET_SCRIPT = """
+import json, sys
+before = set(sys.modules)
+from homforge import cli
+added = sorted(set(sys.modules) - before)
+try:
+    cli.main(sys.argv[1:])
+finally:
+    print(json.dumps([added, "argparse" in sys.modules]), file=sys.stderr)
+"""
+# what a frozen dataclass, the argparse tree and a printed traceback would
+# import; a plain call needs none of them
+HEAVY_MODULES = {"argparse", "gettext", "dataclasses", "inspect", "ast", "dis", "traceback"}
+
+
+def test_import_budget(files, monkeypatch):
+    # one help width for this process and the child, whatever the terminal
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def run(*argv):
+        cmd = [sys.executable, "-c", BUDGET_SCRIPT, *argv]
+        r = subprocess.run(cmd, capture_output=True, text=True)
+        added, argparse_loaded = json.loads(r.stderr.splitlines()[-1])
+        return r, set(added), argparse_loaded
+
+    plain, added, argparse_loaded = run(
+        "check-hom", str(files / "edge.json"), "--target", str(files / "loop.json")
+    )
+    assert plain.returncode == 0 and plain.stdout == '{"answer":"YES"}\n'
+    assert "homforge.cli" in added and not added & HEAVY_MODULES
+    assert not argparse_loaded
+    # help is argparse's to write, and it loads argparse to write it
+    helped, _, argparse_loaded = run("--help")
+    assert helped.returncode == 0 and argparse_loaded
+    assert helped.stdout == cli.build_parser().format_help()

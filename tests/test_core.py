@@ -11,6 +11,7 @@ from homforge import core
 from homforge.core import (
     Homomorphism,
     PhpInstance,
+    PointedStructure,
     Signature,
     Structure,
     digraph,
@@ -25,8 +26,11 @@ from homforge.errors import (
     NotAHomomorphismError,
     SignatureMismatchError,
 )
-from homforge.homsolver import decide_php
+from homforge.cq import ConjunctiveQuery
+from homforge.cqdef import CqDefReduction, Definable, NotDefinable
+from homforge.homsolver import PhpVerdict, decide_php
 from homforge.normalform import gadget_digraph, pad_first_coordinate, star_transform
+from homforge.tiling import TileSystem, TilingInstance
 
 import helpers
 from paper_objects import binarize_unary, disjoint_union, projection
@@ -404,3 +408,84 @@ def test_parse_rejects_bad_files():
             '{"domain": ["a"], "relations":'
             ' {"E": {"arity": 2, "tuples": [["a","a"],["a","a"]]}}}'
         )
+
+
+def _query():
+    return ConjunctiveQuery(("x",), ("y",), (("E", ("x", "y")),))
+
+
+def _tiles():
+    return TileSystem(("w", "k"), {("w", "k")}, {("k", "w")})
+
+
+# each record class, a builder of a fresh instance, its fields in order, and
+# whether it is hashable (a dict field, such as rows or mapping, makes it not)
+RECORDS = [
+    (Signature, lambda: Signature((("E", 2),)), "relations", True),
+    (Structure, lambda: digraph(("a",), ()), "signature domain rows", False),
+    (PointedStructure, lambda: PointedStructure(LOOP, ("v",)), "structure distinguished", False),
+    (PhpInstance, lambda: PhpInstance((LOOP,), LOOP), "factors target", False),
+    (Homomorphism, lambda: Homomorphism({"a": "v"}), "mapping", False),
+    (PhpVerdict, lambda: PhpVerdict(False, None), "yes witness", True),
+    (ConjunctiveQuery, _query, "free_vars bound_vars atoms", True),
+    (Definable, lambda: Definable(_query()), "query", True),
+    (
+        NotDefinable,
+        lambda: NotDefinable(None, None, isolated_position=0),
+        "witness_tuple witness_hom isolated_position",
+        True,
+    ),
+    (
+        CqDefReduction,
+        lambda: CqDefReduction(LOOP, (("v",),), ("v",), "b", 1),
+        "structure s_tuples apexes target_apex path_length",
+        False,
+    ),
+    (TileSystem, _tiles, "tiles hcompat vcompat", True),
+    (TilingInstance, lambda: TilingInstance(_tiles(), ("w",)), "system prefix", True),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, build, fields, hashable", RECORDS, ids=[r[0].__name__ for r in RECORDS]
+)
+def test_records_are_frozen_values(cls, build, fields, hashable):
+    first, second = build(), build()
+    assert type(first) is cls and first is not second
+    fields = fields.split()
+    with pytest.raises(AttributeError):
+        setattr(first, fields[0], None)
+    with pytest.raises(AttributeError):
+        first.extra = None
+    with pytest.raises(AttributeError):
+        delattr(first, fields[0])
+    assert first == second and not first != second
+    # only a record of the same class compares equal, not a tuple of its fields
+    values = tuple(getattr(first, name) for name in fields)
+    assert first != values
+    if hashable:
+        assert hash(first) == hash(second)
+    else:
+        with pytest.raises(TypeError):
+            hash(first)
+    fields_repr = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values))
+    assert repr(first) == f"{cls.__name__}({fields_repr})"
+
+
+def test_record_arguments_and_defaults():
+    assert NotDefinable(("a",), Homomorphism({})).isolated_position is None
+    assert NotDefinable(None, None, 0) == NotDefinable(None, None, isolated_position=0)
+    with pytest.raises(TypeError):
+        Definable()
+    with pytest.raises(TypeError):
+        Definable(_query(), _query())
+    with pytest.raises(TypeError):
+        Definable(_query(), query=_query())
+
+
+def test_structure_rank_is_outside_eq_and_repr():
+    first = digraph(("a", "b"), (("a", "b"),))
+    second = Structure._canonical(first.signature, first.domain, first.rows)
+    vars(second)["rank"] = {}
+    assert first == second and first.rank != second.rank
+    assert "rank" not in repr(first)
