@@ -62,13 +62,15 @@ def _emit(payload, args):
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     if sys.stdout is None:  # Python's value when fd 1 is closed at start-up
         raise OSError("stdout is closed")
-    sys.stdout.write(text + "\n")
+    # two writes: text + "\n" would copy a large answer once more
+    sys.stdout.write(text)
+    sys.stdout.write("\n")
     sys.stdout.flush()
 
 
 def _hom_to_json(hom):
     # no sort here: _emit writes every object with sorted keys
-    return {element_label(k): element_label(v) for k, v in hom.mapping.items()}
+    return hom.labelled()
 
 
 def _load_instance(args):

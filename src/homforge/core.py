@@ -22,6 +22,14 @@ duplicates, and for every relation of the signature rows[name] lists
 distinct rank tuples of the relation's arity in ascending order.  Every
 other builder, and every file read, goes through the checking constructor.
 
+A product is not materialized.  Its domain is a ProductDomain, which reads
+everything off the factors by mixed-radix arithmetic: len(domain), rank[e],
+domain[r], tuple_count(), each relation's columns (Structure.columns: the
+ranks at each position, in the factors' combination order) and the element
+labels.  The element tuples and the sorted rows are built only when a
+caller reads them (domain iteration, rows, relation, serialization); the
+solver and the certificate check read only counts, ranks and columns.
+
 Every value record of the package (Signature, Structure, PointedStructure,
 PhpInstance and Homomorphism here; the verdicts, queries, reductions and
 tiling instances of the other modules) subclasses Record, which does for
@@ -34,8 +42,12 @@ __hash__ and __repr__ over the fields; and a __setattr__ and __delattr__
 that raise.  __post_init__ or a custom __init__ stores a normalized value
 past them, with object.__setattr__ or vars(self).update.
 
-Homomorphism.validate is the one certificate check.  Each decider calls it
-on the structure its own search ran on, so no check builds a product again.
+Homomorphism.validate is the one certificate check, and no subclass
+overrides it.  Each decider calls it on the structure its own search ran
+on, so no check builds a product again.  A map the search found keeps the
+search's value list (Homomorphism._of_ranks), which validate reads as it
+is, checking each source tuple from the source's columns against the
+target's rows; its mapping is a view of that list, not a dict.
 
 Every step that multiplies sizes calls check_guard before it builds
 anything, and check_guard reads the guard itself from size_guard, the one
@@ -51,6 +63,7 @@ import itertools
 import json
 import math
 import os
+from collections.abc import Mapping
 
 from .errors import (
     GuardExceededError,
@@ -149,6 +162,9 @@ class Signature(Record):
     def names(self):
         return [n for n, _ in self.relations]
 
+    def arity(self, name):
+        return dict(self.relations)[name]
+
 
 class Structure(Record):
     """A finite relational structure with canonically sorted domain and relations.
@@ -193,19 +209,50 @@ class Structure(Record):
 
     @classmethod
     def _canonical(cls, signature, domain, rows):
-        """A Structure from canonical parts, taken as they are (see the module docstring)."""
+        """A Structure from canonical parts, taken as they are (see the module docstring).
+
+        A product passes its ProductDomain and rows None: its rank is the
+        domain's, and its rows a _ProductRows, which sorts a relation's rows
+        when they are first read.
+        """
         s = object.__new__(cls)
-        rank = dict(zip(domain, range(len(domain))))
+        if rows is None:
+            rows, rank = _ProductRows(signature, domain), domain.rank
+        else:
+            rank = dict(zip(domain, range(len(domain))))
         vars(s).update(signature=signature, domain=domain, rows=rows, rank=rank)
         return s
 
     def relation(self, name):
         """The tuples of a relation as element tuples, in canonical order."""
         cols = zip(*self.rows[name])
-        return tuple(zip(*(map(self.domain.__getitem__, col) for col in cols)))
+        domain = tuple(self.domain)
+        return tuple(zip(*(map(domain.__getitem__, col) for col in cols)))
 
-    def tuple_count(self):
-        return sum(len(rows) for rows in self.rows.values())
+    def columns(self, name):
+        """The ranks at each position of a relation's tuples, all listed in one tuple order.
+
+        That order is canonical, except in a product, whose columns are
+        computed from the factors' columns in their combination order, so
+        its rows need not be built or sorted.
+        """
+        if isinstance(self.domain, ProductDomain):
+            return self.domain.columns(name, self.signature.arity(name))
+        return list(zip(*self.rows[name])) or [()] * self.signature.arity(name)
+
+    def tuple_count(self, name=None):
+        """The number of tuples of relation name, or of all relations when name is None."""
+        if name is None:
+            return sum(map(self.tuple_count, self.signature.names()))
+        if isinstance(self.domain, ProductDomain):
+            return self.domain.counts[name]
+        return len(self.rows[name])
+
+    def labels(self):
+        """The element_label of each domain element, in domain order."""
+        if isinstance(self.domain, ProductDomain):
+            return self.domain.labels()
+        return [element_label(e) for e in self.domain]
 
 
 class PointedStructure(Record):
@@ -237,12 +284,29 @@ class PhpInstance(Record):
 
 
 class Homomorphism(Record):
-    """A total element map; validity is checked explicitly, never assumed."""
+    """A total element map; validity is checked explicitly, never assumed.
+
+    A map the search found has a _RankMap as its mapping: the search's list
+    of the target rank of each source element, read as a mapping without
+    building one.
+    """
 
     mapping: dict
 
+    @classmethod
+    def _of_ranks(cls, source, target, images):
+        """The map sending the source element of rank r to the target element of rank images[r]."""
+        return cls(_RankMap(source, target, images))
+
     def __call__(self, e):
         return self.mapping[e]
+
+    def labelled(self):
+        """The map as labels: element_label of each element -> element_label of its image."""
+        m = self.mapping
+        if isinstance(m, _RankMap):
+            return dict(zip(m.source.labels(), map(m.target.labels().__getitem__, m.images)))
+        return {element_label(k): element_label(v) for k, v in m.items()}
 
     def is_valid(self, source, target):
         try:
@@ -255,25 +319,57 @@ class Homomorphism(Record):
         """Raise NotAHomomorphismError describing the first violation found.
 
         The check runs in rank space: each source element's image is taken
-        as its target rank, and each source row must map to a target row.
+        as its target rank (the search's own list, for a map it found on
+        this source and target), and each source tuple, read off the
+        source's columns, must map to a target row.  A violation is
+        reported for the least source row that has one.
         """
-        images = []
-        for e in source.domain:
-            if e not in self.mapping:
-                raise NotAHomomorphismError(f"element {e!r} is unmapped")
-            v = self.mapping[e]
-            if v not in target.rank:
-                raise NotAHomomorphismError(f"{e!r} maps to {v!r}, not a target element")
-            images.append(target.rank[v])
+        m = self.mapping
+        if isinstance(m, _RankMap) and m.source is source and m.target is target:
+            images = m.images
+            in_range = not images or 0 <= min(images) <= max(images) < len(target.domain)
+            if len(images) != len(source.domain) or not in_range:
+                raise NotAHomomorphismError("the map is not a total map into the target")
+        else:
+            images = []
+            for e in source.domain:
+                if e not in self.mapping:
+                    raise NotAHomomorphismError(f"element {e!r} is unmapped")
+                v = self.mapping[e]
+                if v not in target.rank:
+                    raise NotAHomomorphismError(f"{e!r} maps to {v!r}, not a target element")
+                images.append(target.rank[v])
+        image = images.__getitem__
         for name, _ in source.signature.relations:
             trows = set(target.rows[name])
-            for row in source.rows[name]:
-                if tuple(map(images.__getitem__, row)) not in trows:
-                    t = tuple(map(source.domain.__getitem__, row))
-                    image = tuple(self.mapping[c] for c in t)
-                    raise NotAHomomorphismError(
-                        f"tuple {t!r} of {name!r} maps to {image!r}, missing in target"
-                    )
+            cols = source.columns(name)
+            if all(map(trows.__contains__, zip(*[map(image, col) for col in cols]))):
+                continue
+            row = min(r for r in zip(*cols) if tuple(map(image, r)) not in trows)
+            t = tuple(map(source.domain.__getitem__, row))
+            mapped = tuple(target.domain[image(c)] for c in row)
+            raise NotAHomomorphismError(
+                f"tuple {t!r} of {name!r} maps to {mapped!r}, missing in target"
+            )
+
+
+class _RankMap(Mapping):
+    """Source element -> target element, as the search's list images of target ranks by source rank."""
+
+    def __init__(self, source, target, images):
+        self.source, self.target, self.images = source, target, images
+
+    def __getitem__(self, e):
+        return self.target.domain[self.images[self.source.rank[e]]]
+
+    def __iter__(self):
+        return iter(self.source.domain)
+
+    def __len__(self):
+        return len(self.images)
+
+    def __repr__(self):
+        return repr(dict(self))
 
 
 def digraph(domain, edges):
@@ -326,40 +422,149 @@ def product_domain(factors):
     return itertools.product(*(f.domain for f in factors))
 
 
+class ProductDomain:
+    """The domain of a direct product, in canonical order, with no element stored.
+
+    The n-tuples of the sorted factor domains, last factor fastest, are
+    already in canonical order, so the element of rank r is read off the
+    mixed-radix digits of r, and rank maps an element back to that number
+    by Horner's rule over its factor ranks.  Iterating yields the tuples one
+    at a time.  The product's relations are computed from the factors too:
+    their tuple counts (counts), their columns and the element labels.
+    """
+
+    def __init__(self, factors):
+        self.factors = tuple(factors)
+        self.sizes = tuple(len(f.domain) for f in self.factors)
+        self.size = math.prod(self.sizes)
+        self.rank = _ProductRank(self)
+        # relation name -> tuple count: one tuple per combination of factor tuples
+        self.counts = {
+            name: math.prod(f.tuple_count(name) for f in self.factors)
+            for name in self.factors[0].signature.names()
+        }
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        return itertools.product(*(f.domain for f in self.factors))
+
+    def __getitem__(self, i):
+        r = range(self.size)[i]
+        parts = []
+        for f, size in zip(reversed(self.factors), reversed(self.sizes)):
+            r, c = divmod(r, size)
+            parts.append(f.domain[c])
+        return tuple(reversed(parts))
+
+    def __contains__(self, e):
+        return e in self.rank
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, ProductDomain)):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+    def columns(self, name, arity):
+        """Per position p, the rank at p of the tuple of each combination of factor tuples.
+
+        That rank is the mixed-radix number over the factor tuples' ranks at
+        p, extended one factor at a time by Horner's rule; every position is
+        listed in one shared combination order.  Distinct combinations give
+        distinct tuples.
+        """
+        cols = [[0]] * arity
+        for f, size in zip(self.factors, self.sizes):
+            fcols = f.columns(name)
+            cols = [[r * size + c for r in col for c in fcol] for col, fcol in zip(cols, fcols)]
+        return cols
+
+    def labels(self):
+        """The element_label of each element, joined from the factors' element labels."""
+        parts = [
+            [_quote(c) if isinstance(c, str) else element_label(c) for c in f.domain]
+            for f in self.factors
+        ]
+        return ["[" + label + "]" for label in map(",".join, itertools.product(*parts))]
+
+
+class _ProductRows(Mapping):
+    """A product's rows: relation name -> its rank tuples, sorted from the columns on first read."""
+
+    def __init__(self, signature, domain):
+        self.signature, self.domain, self.built = signature, domain, {}
+
+    def __getitem__(self, name):
+        rows = self.built.get(name)
+        if rows is None:
+            arity = self.signature.arity(name)
+            rows = self.built[name] = tuple(sorted(zip(*self.domain.columns(name, arity))))
+        return rows
+
+    def __iter__(self):
+        return iter(self.signature.names())
+
+    def __len__(self):
+        return len(self.signature.relations)
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
+class _ProductRank:
+    """A ProductDomain's rank: element -> index, by Horner's rule over the factor ranks."""
+
+    def __init__(self, domain):
+        self.domain = domain
+
+    def __getitem__(self, e):
+        domain = self.domain
+        if not isinstance(e, tuple) or len(e) != len(domain.factors):
+            raise KeyError(e)
+        r = 0
+        for f, size, c in zip(domain.factors, domain.sizes, e):
+            r = r * size + f.rank[c]
+        return r
+
+    def __contains__(self, e):
+        try:
+            self[e]
+        except (KeyError, TypeError):
+            return False
+        return True
+
+    def __eq__(self, other):
+        if isinstance(other, _ProductRank):
+            other = dict(zip(other.domain, range(len(other.domain))))
+        return dict(zip(self.domain, range(len(self.domain)))) == other
+
+
 def product(factors):
     """Direct product: domain is the cartesian product, tuples hold componentwise.
 
     Elements are n-tuples of factor elements in factor order.  A hard size
-    guard, on the domain and on each relation's tuples, rejects blowups
-    before anything is enumerated instead of truncating.
+    guard rejects blowups before anything is enumerated instead of
+    truncating: one check, on the element count plus the tuple count of all
+    relations together, the product's whole size.
 
-    The product is built in rank space.  The n-tuples of the sorted factor
-    domains, last factor fastest, are already in canonical order, so the rank
-    of an element is the mixed-radix number of its factor ranks.  Position p
-    of the row of a combination (t_1, ..., t_n) of factor rows is that
-    number over t_1[p], ..., t_n[p].  Distinct combinations give distinct
-    rows, so a relation needs only a sort of its rank tuples.
+    Nothing is enumerated here at all: the domain is a ProductDomain, which
+    computes the element count, the ranks, each relation's columns and the
+    element labels from the factors.  A relation's sorted rows, and the
+    element tuples, are built only when a caller reads them.
     """
     factors = list(factors)
     if not factors:
         raise InvalidStructureError("product of zero factors is undefined")
     sig = _require_shared_signature(factors)
-    elements = product_domain(factors)
-    for name in sig.names():
-        combos = math.prod(len(f.rows[name]) for f in factors)
-        check_guard(combos, f"product relation {name!r} would have {combos} tuples")
-    domain = tuple(elements)
-    rows = {}
-    for name, arity in sig.relations:
-        # per position, the ranks over every combination of the factors so
-        # far, in one shared combination order, extended by Horner's rule
-        cols = [[0]] * arity
-        for f in factors:
-            size = len(f.domain)
-            fcols = tuple(zip(*f.rows[name])) or ((),) * arity
-            cols = [[r * size + c for r in col for c in fcol] for col, fcol in zip(cols, fcols)]
-        rows[name] = tuple(sorted(zip(*cols)))
-    return Structure._canonical(sig, domain, rows)
+    domain = ProductDomain(factors)
+    elements = len(domain)
+    tuples = sum(domain.counts.values())
+    check_guard(elements + tuples, f"product would have {elements} elements and {tuples} tuples")
+    return Structure._canonical(sig, domain, None)
 
 
 # --- JSON file format -------------------------------------------------------
@@ -371,7 +576,7 @@ def product(factors):
 
 
 def structure_to_dict(s):
-    labels = [element_label(e) for e in s.domain]
+    labels = s.labels()
     return {
         "domain": labels,
         "relations": {
@@ -403,7 +608,7 @@ def serialize(s):
     The text is json.dumps(structure_to_dict(s), sort_keys=True, indent=2)
     plus a newline, byte for byte.
     """
-    labels = [_quote(element_label(e)) for e in s.domain]
+    labels = list(map(_quote, s.labels()))
     relations = []
     for name, arity in s.signature.relations:
         tuples = _rows([[labels[r] for r in row] for row in s.rows[name]], 6)

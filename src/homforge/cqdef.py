@@ -78,8 +78,8 @@ def decide_cq_definability(instance, s_tuples):
     distinguished element occurs in no tuple, NotDefinable names its
     position instead.  Each NotDefinable is checked against the pointed
     product the search ran on before it is returned.  A pointed product
-    with more elements or tuples per relation than the size guard, or more
-    candidate image tuples, raises GuardExceededError.
+    whose elements and tuples together outnumber the size guard, or more
+    candidate image tuples than the guard, raises GuardExceededError.
     """
     s_set, pointed = _pointed_product(instance, s_tuples)
     # image_witnesses lists the images outside S in lexicographic order of their ranks
@@ -88,8 +88,9 @@ def decide_cq_definability(instance, s_tuples):
         answer = NotDefinable(*next(iter(outside.items())))
     else:
         # image always contains S, so image == S here
-        used = {v for rows in pointed.structure.rows.values() for row in rows for v in row}
-        ranks = map(pointed.structure.rank.__getitem__, pointed.distinguished)
+        p = pointed.structure
+        used = {v for name in p.signature.names() for col in p.columns(name) for v in col}
+        ranks = map(p.rank.__getitem__, pointed.distinguished)
         isolated = [j for j, r in enumerate(ranks) if r not in used]
         if not isolated:
             return Definable(canonical_query(pointed))
@@ -114,9 +115,10 @@ def _check_not_definable(instance, s_set, pointed, answer):
         if not 0 <= j < len(distinguished):
             raise CertificateError(f"isolated position {j} is not a position of S")
         d = distinguished[j]
-        r = pointed.structure.rank[d]
-        for name, rows in pointed.structure.rows.items():
-            if any(r in row for row in rows):
+        p = pointed.structure
+        r = p.rank[d]
+        for name in p.signature.names():
+            if any(r in col for col in p.columns(name)):
                 raise CertificateError(
                     f"distinguished element {d!r} lies in a tuple of {name!r}"
                 )

@@ -2,31 +2,43 @@
 
 One CSP variable per source element, one constraint per source tuple; the
 constraint's allowed assignments are the target tuples of the same relation.
-This keeps the solver independent of arity.
 
 The interning is the one core.Structure keeps: a variable is a source
-element's rank, a value is a target element's rank, and the constraint
-scopes and table rows are the structures' rank rows, so ascending value
-index is the canonical value order; elements come back only when a solution
-is emitted.  A domain is a Python int used as a bitset over values.  Each
-target relation becomes one support table shared by all its constraints: for
-every (position, value) the bitset of the rows holding that value there,
-and, once per repeat pattern of its scopes, the mask of rows that agree on
-the repeated positions and the first position of each distinct variable.
-A constraint is only (table, pattern id, getter of its scope's domains,
-distinct variables); a scope without repeats is its own variable tuple.
-_Table.revise is the one revision: it intersects the rows each position's
-domain still supports and keeps the values that meet a live row, in the
-manner of Compact-Table (Demeulenaere et al., CP 2016) under an AC-3 queue
-(Mackworth 1977).
+element's rank and a value is a target element's rank, so ascending value
+index is the canonical value order.  The CSP is built from the source's
+element count and its columns (Structure.columns), which a product computes
+from its factors: no product element or sorted row is built for a search,
+and a solution is the search's list of values, which the witness keeps
+(Homomorphism._of_ranks).  A domain is a Python int used as a bitset over
+values.  No record is kept per binary constraint:
 
-A revision depends only on the table, the pattern and the scope's domains,
-and in a product thousands of constraints share one table and meet the
-same domains.  So every table keeps a memo keyed on (pattern id, those
-domains) that holds the revised domains, True when none narrows or False
-for a wipeout.  propagate revises only on a miss, records the result
-(emptying a memo of MEMO_LIMIT entries first) and applies hit and miss
-through one loop.
+- a unary scope, and a binary scope that repeats its variable (a loop),
+  narrows its variable's domain once, when the CSP is built; nothing undoes
+  that, so it never needs revising;
+- any other binary scope (x, y) of a relation R puts (y, R forward) on x's
+  neighbour list and (x, R backward) on y's.  A direction holds, per value,
+  the bitset of the values R reaches from it, and the image of a domain is
+  the union of those over its values, cached per domain bitset.  A change
+  of x's domain intersects each neighbour's domain with the image of x's
+  through that neighbour's direction (AC-3, Mackworth 1977, with a queue of
+  variables);
+- a scope of arity 3 or more is a constraint on the _Table of its
+  relation, shared by all such constraints: for every (position, value)
+  the bitset of the rows holding that value there, and, once per repeat
+  pattern of its scopes, the mask of rows that agree on the repeated
+  positions and the first position of each distinct variable.  Such a
+  constraint is only (table, pattern id, getter of its scope's domains,
+  distinct variables), and _Table.revise is its one revision: it
+  intersects the rows each position's domain still supports and keeps the
+  values that meet a live row, in the manner of Compact-Table
+  (Demeulenaere et al., CP 2016).
+
+In a product thousands of scopes share one relation and meet the same
+domains, so both kinds of revision are memoized: each direction caches the
+image of a domain, and each table keeps a memo keyed on (pattern id, the
+scope's domains) that holds the revised domains, True when none narrows or
+False for a wipeout.  A cache or memo of MEMO_LIMIT entries is emptied
+before it takes another.
 
 There is one search, _Csp.search(prefix).  It propagates at the root, whose
 changes nothing undoes and so leave no trail, then keeps a single domain
@@ -49,17 +61,16 @@ differ only in the prefix:
   assigned, without a search below them.
 
 Every choice point is fixed and the arc-consistent fixpoint is unique, so
-results are deterministic.
+results are deterministic, whatever order the queue revises in.
 """
 
 import heapq
-from collections import deque
 from operator import itemgetter
 
 from .core import Homomorphism, Record, check_guard, product
 from .errors import SignatureMismatchError
 
-# entries a table's memo holds before it is emptied
+# entries an image cache or a table's memo holds before it is emptied
 MEMO_LIMIT = 1 << 16
 
 
@@ -70,8 +81,18 @@ class PhpVerdict(Record):
     witness: Homomorphism | None
 
 
+def _image(reach, d):
+    """The values reached from any value of domain d, per value's bitset reach."""
+    image = 0
+    while d:
+        low = d & -d
+        image |= reach[low.bit_length() - 1]
+        d ^= low
+    return image
+
+
 class _Table:
-    """One target relation, shared by its constraints: what a revision reads, and the memo."""
+    """A target relation of arity 3 or more, shared by its constraints: revision data and memo."""
 
     def __init__(self, rows, arity, n_values):
         self.rows = rows
@@ -143,35 +164,83 @@ class _Table:
 
 
 class _Csp:
-    """Interned variables and values, bitset domains with a trail, 4-tuple constraints."""
+    """Bitset domains with a trail; neighbour lists for binary scopes, tables for wider ones."""
 
     def __init__(self, source, target):
         if source.signature != target.signature:
             raise SignatureMismatchError("source and target must share a signature")
-        self.source_domain = source.domain
-        self.values = target.domain
-        # constraint: (table, repeat pattern id, getter of the scope's
+        self.source, self.target = source, target
+        n, n_values = len(source.domain), len(target.domain)
+        dom = self.dom = [(1 << n_values) - 1] * n
+        # per variable, flat: neighbour, direction, neighbour, direction, ...;
+        # () until it has an arc
+        self.arcs = arcs = [()] * n
+        # one int object per variable, shared by every arc that names it (a
+        # column holds a new int per tuple)
+        ids = None
+        # per direction of a binary relation: (the values each value reaches, image cache)
+        self.directions = []
+        # arity 3 and more: (table, repeat pattern id, getter of the scope's
         # domains, the scope's distinct variables in order of first position)
         self.cons = []
-        self.var_cons = [[] for _ in source.domain]
+        # per variable, its table constraints; () until it has one
+        self.var_cons = [()] * n
         for name, arity in source.signature.relations:
-            if not source.rows[name]:
+            if not source.tuple_count(name):
                 continue
-            table = _Table(target.rows[name], arity, len(target.domain))
-            for scope in source.rows[name]:
-                if len(set(scope)) == arity:
-                    pid, variables = 0, scope
-                else:
-                    pid = table.pattern(tuple(map(scope.index, scope)))
-                    variables = tuple(dict.fromkeys(scope))
-                doms = itemgetter(*scope) if arity > 1 else lambda dom, v=scope[0]: (dom[v],)
-                ci = len(self.cons)
-                self.cons.append((table, pid, doms, variables))
-                for v in variables:
-                    self.var_cons[v].append(ci)
-        self.dom = [(1 << len(target.domain)) - 1] * len(source.domain)
+            cols = source.columns(name)
+            rows = target.rows[name]
+            if arity == 1:
+                allowed = sum(1 << a for a, in rows)
+                for x in cols[0]:
+                    dom[x] &= allowed
+            elif arity == 2:
+                ids = ids or list(range(n))
+                forward, backward = [0] * n_values, [0] * n_values
+                for a, b in rows:
+                    forward[a] |= 1 << b
+                    backward[b] |= 1 << a
+                loops = sum(1 << a for a, b in rows if a == b)
+                # what a full domain reaches in each direction: every arc is
+                # revised here once, as if from a full domain, so root() starts
+                # only from the domains this build narrows
+                firsts, seconds = sum({1 << a for a, _ in rows}), sum({1 << b for _, b in rows})
+                k = len(self.directions)
+                self.directions += [(forward, {}), (backward, {})]
+                for x, y in zip(*cols):
+                    if x == y:
+                        dom[x] &= loops
+                        continue
+                    dom[x] &= firsts
+                    dom[y] &= seconds
+                    x, y = ids[x], ids[y]
+                    if arcs[x]:
+                        arcs[x] += (y, k)
+                    else:
+                        arcs[x] = [y, k]
+                    if arcs[y]:
+                        arcs[y] += (x, k + 1)
+                    else:
+                        arcs[y] = [x, k + 1]
+            else:
+                self._add_table(_Table(rows, arity, n_values), cols)
         self.trail = []  # (variable, domain before the change)
-        self._queued = bytearray(len(self.cons))
+        self._queued = bytearray(n)
+
+    def _add_table(self, table, cols):
+        arity = len(cols)
+        for scope in zip(*cols):
+            if len(set(scope)) == arity:
+                pid, variables = 0, scope
+            else:
+                pid = table.pattern(tuple(map(scope.index, scope)))
+                variables = tuple(dict.fromkeys(scope))
+            ci = len(self.cons)
+            self.cons.append((table, pid, itemgetter(*scope), variables))
+            for v in variables:
+                if not self.var_cons[v]:
+                    self.var_cons[v] = []
+                self.var_cons[v].append(ci)
 
     def pin(self, var, bit):
         """Restrict var to one value bit and propagate; False on a wipeout."""
@@ -181,42 +250,71 @@ class _Csp:
         if d != bit:
             self.trail.append((var, d))
             self.dom[var] = bit
-            return self.propagate(self.var_cons[var])
+            return self.propagate((var,))
         return True
 
+    def root(self):
+        """Propagate to the root fixpoint; False when a domain is or becomes empty.
+
+        The build already revised every arc from a full domain, so only the
+        variables it narrowed, and those of the tables, start the queue.
+        """
+        full = (1 << len(self.target.domain)) - 1
+        seeds = [v for v, (d, cs) in enumerate(zip(self.dom, self.var_cons)) if d != full or cs]
+        return 0 not in self.dom and self.propagate(seeds)
+
     def propagate(self, seeds):
-        """Revise constraints until the arc-consistent fixpoint; False on a wipeout."""
-        cons, dom, trail, var_cons = self.cons, self.dom, self.trail, self.var_cons
-        queued = self._queued
-        queue = deque(seeds)
-        for ci in queue:
-            queued[ci] = 1
+        """Revise from the variables in seeds to the arc-consistent fixpoint; False on a wipeout."""
+        dom, trail, arcs, directions = self.dom, self.trail, self.arcs, self.directions
+        cons, var_cons, queued = self.cons, self.var_cons, self._queued
+        queue = []
+        for x in seeds:
+            if not queued[x]:
+                queued[x] = 1
+                queue.append(x)
+        changed = []
         while queue:
-            ci = queue.popleft()
-            queued[ci] = 0
-            table, pid, doms, variables = cons[ci]
-            memo = table.memo
-            key = (pid, doms(dom))
-            revised = memo.get(key)
-            if revised is None:
-                if len(memo) >= MEMO_LIMIT:
-                    memo.clear()
-                revised = memo[key] = table.revise(*key)
-            if revised is True:
-                continue
-            if revised is False:
-                for cj in queue:
-                    queued[cj] = 0
-                return False
-            for v, nd in zip(variables, revised):
-                d = dom[v]
-                if nd != d:
-                    trail.append((v, d))
-                    dom[v] = nd
-                    for cj in var_cons[v]:
-                        if not queued[cj] and cj != ci:
-                            queued[cj] = 1
-                            queue.append(cj)
+            x = queue.pop()
+            queued[x] = 0
+            d = dom[x]
+            it = iter(arcs[x])
+            for y, k in zip(it, it):
+                reach, cache = directions[k]
+                image = cache.get(d)
+                if image is None:
+                    if len(cache) >= MEMO_LIMIT:
+                        cache.clear()
+                    image = cache[d] = _image(reach, d)
+                e = dom[y]
+                if e & image != e:
+                    changed.append((y, e & image))
+            for ci in var_cons[x]:
+                table, pid, doms, variables = cons[ci]
+                memo = table.memo
+                key = (pid, doms(dom))
+                revised = memo.get(key)
+                if revised is None:
+                    if len(memo) >= MEMO_LIMIT:
+                        memo.clear()
+                    revised = memo[key] = table.revise(*key)
+                if revised is False:
+                    changed.append((variables[0], 0))
+                elif revised is not True:
+                    changed.extend(zip(variables, revised))
+            for y, nd in changed:
+                e = dom[y]
+                if nd & e != e:
+                    nd &= e
+                    if not nd:
+                        for v in queue:
+                            queued[v] = 0
+                        return False
+                    trail.append((y, e))
+                    dom[y] = nd
+                    if not queued[y]:
+                        queued[y] = 1
+                        queue.append(y)
+            changed.clear()
         return True
 
     def search(self, prefix=(), skip=()):
@@ -236,7 +334,7 @@ class _Csp:
         dom, trail = self.dom, self.trail
         n = len(dom)
         value = [-1] * n
-        if not self.propagate(range(len(self.cons))):
+        if not self.root():
             return
         # nothing undoes the root's changes, so they leave no trail
         trail.clear()
@@ -304,10 +402,7 @@ class _Csp:
             del stack[depth:]
 
     def homomorphism(self, value):
-        values = self.values
-        return Homomorphism(
-            {e: values[val] for e, val in zip(self.source_domain, value)}
-        )
+        return Homomorphism._of_ranks(self.source, self.target, list(value))
 
 
 def find_homomorphism(source, target, prefix=()):
@@ -355,11 +450,12 @@ def image_witnesses(source, target, known=()):
 def decide_php(inst, prefix=()):
     """Decide whether the direct product of the factors maps into the target.
 
-    The product is built once: find_homomorphism searches it with prefix,
-    and Homomorphism.validate, which shares no code with the search, checks
-    a witness against it before it is returned.  A product with more
-    elements or tuples per relation than the size guard raises
-    GuardExceededError before the search.
+    The product is made once, and never materialized: find_homomorphism
+    searches it with prefix, and Homomorphism.validate, which shares no code
+    with the search, checks the witness (the search's value list) against
+    its columns before it is returned.  A product whose elements and tuples
+    together outnumber the size guard raises GuardExceededError before the
+    search.
     """
     prod = product(inst.factors)
     hom = find_homomorphism(prod, inst.target, prefix)

@@ -57,7 +57,7 @@ def star_transform(s):
         STAR_DOMAIN_RELATION: tuple((e,) for e in s.domain),
         STAR_MERGED_RELATION: tuple(tuples),
     }
-    return Structure(sig, s.domain + (ZERO,), interp)
+    return Structure(sig, (*s.domain, ZERO), interp)
 
 
 def merge_relations(s):

@@ -128,6 +128,28 @@ def test_guard_exit_3(files, monkeypatch):
     assert "error" in json.loads(r.stdout)
 
 
+def test_guard_counts_the_whole_product(tmp_path, monkeypatch, capsys):
+    # edge x edge x edge, with E and F both the edge: 8 elements and 1 tuple
+    # per relation, so 10 in all; each part alone is within a guard of 9
+    edge = [("a", "b")]
+    two = core.Structure(core.Signature((("E", 2), ("F", 2))), ("a", "b"), {"E": edge, "F": edge})
+    path = tmp_path / "two.json"
+    save_structure(two, path)
+    argv = ["check-hom", str(path), str(path), str(path), "--target", str(path)]
+    built = []
+    monkeypatch.setattr(core.ProductDomain, "columns", lambda *a: built.append(a))
+    monkeypatch.setenv("HOMFORGE_GUARD", "9")
+    assert cli.main(argv) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "product would have 8 elements and 2 tuples (guard 9)"
+    }
+    assert not built
+    monkeypatch.undo()
+    monkeypatch.setenv("HOMFORGE_GUARD", "10")
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {"answer": "YES"}
+
+
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_bad_guard_value_exit_2(files, value):
     import os
@@ -407,8 +429,8 @@ def test_cqdef_check_invalid_certificate_exits_4(
 def test_solve_tiling_invalid_tiling_exits_4(tmp_path, monkeypatch, capsys, corruption):
     # the checkerboard on the 2x2 grid: (0, 0) is w, so (1, 0) must be k
     system = tmp_path / "checker.json"
-    system.write_text(json.dumps({"tiles": ["k", "w"], "hcompat": [["k", "w"], ["w", "k"]],
-                                  "vcompat": [["k", "w"], ["w", "k"]]}))
+    alternate = [["k", "w"], ["w", "k"]]
+    system.write_text(json.dumps({"tiles": ["k", "w"], "hcompat": alternate, "vcompat": alternate}))
     if corruption == "search":
         find = homsolver.find_homomorphism
 
@@ -443,6 +465,33 @@ def _spy_products(monkeypatch):
 
     monkeypatch.setattr(core.Structure, "_canonical", classmethod(build))
     return sizes
+
+
+def test_check_hom_builds_no_product_element(tmp_path, monkeypatch, capsys):
+    # checkerboard m=3: search, witness check and output read the product's
+    # counts, ranks, columns and labels only, never an element tuple or a row
+    system = tmp_path / "checker.json"
+    system.write_text(json.dumps({"tiles": ["k", "w"], "hcompat": [["k", "w"], ["w", "k"]],
+                                  "vcompat": [["k", "w"], ["w", "k"]]}))
+    out = tmp_path / "php"
+    argv = ["reduce", "tiling", "--system", str(system), "--prefix", "w", "k", "w"]
+    assert cli.main([*argv, "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    factors = [str(out / f"factor_{i}.json") for i in range(1, 7)]
+    argv = ["check-hom", *factors, "--target", str(out / "target.json"), "--witness"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def built(*args):
+        raise AssertionError("a product element or row was built")
+
+    for name in ("__iter__", "__getitem__"):
+        monkeypatch.setattr(core.ProductDomain, name, built)
+    monkeypatch.setattr(core._ProductRows, "__getitem__", built)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+    witness = json.loads(expected)["witness"]
+    assert len(witness) == 64 and witness['["0","0","0","0","0","0"]'] == "w"
 
 
 def test_check_hom_builds_one_product(files, monkeypatch, capsys):

@@ -5,6 +5,8 @@ import pkgutil
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import homforge
 from homforge import core
@@ -186,36 +188,68 @@ def test_product_guard_reports_cardinality(monkeypatch):
     with pytest.raises(GuardExceededError) as exc:
         product([big, big])
     assert exc.value.cardinality == 100
-    assert str(exc.value) == "product domain would have 100 elements (guard 50)"
+    assert str(exc.value) == "product would have 100 elements and 0 tuples (guard 50)"
 
 
 def test_product_relation_guard_fires_before_the_domain_is_enumerated(monkeypatch):
-    # the complete looped digraph on 4 nodes: its square has 16 elements, 256 edges
+    # the complete looped digraph on 4 nodes: its square has 16 elements, 256
+    # edges, so 272 in all; the one guard check counts both together
     nodes = ("a", "b", "c", "d")
     complete = digraph(nodes, [(x, y) for x in nodes for y in nodes])
     enumerated = []
-    real = core.product_domain
+    for name in ("__iter__", "columns", "labels"):
+        real = getattr(core.ProductDomain, name)
 
-    def spy(factors):
-        elements = real(factors)
+        def spy(*args, real=real, name=name):
+            enumerated.append(name)
+            return real(*args)
 
-        def consume():
-            enumerated.append(True)
-            yield from elements
-
-        return consume()
-
-    monkeypatch.setattr(core, "product_domain", spy)
-    monkeypatch.setenv("HOMFORGE_GUARD", "256")
-    assert len(product([complete, complete]).domain) == 16
-    assert enumerated  # the spy sees an enumeration when the guard passes
+        monkeypatch.setattr(core.ProductDomain, name, spy)
+    monkeypatch.setenv("HOMFORGE_GUARD", "272")
+    p = product([complete, complete])
+    assert len(p.domain) == 16 and p.tuple_count() == 256
+    assert not enumerated  # counting enumerates nothing
+    assert len(p.relation("E")) == 256
+    assert enumerated  # the spy sees an enumeration once the rows are read
     enumerated.clear()
-    monkeypatch.setenv("HOMFORGE_GUARD", "100")
+    monkeypatch.setenv("HOMFORGE_GUARD", "271")
     with pytest.raises(GuardExceededError) as exc:
         product([complete, complete])
-    assert exc.value.cardinality == 256
-    assert str(exc.value) == "product relation 'E' would have 256 tuples (guard 100)"
+    assert exc.value.cardinality == 272
+    assert str(exc.value) == "product would have 16 elements and 256 tuples (guard 271)"
     assert not enumerated
+
+
+def _reference_product(factors):
+    """The direct product from its definition, through the checking constructor."""
+    sig = factors[0].signature
+    interp = {}
+    for name in sig.names():
+        combos = itertools.product(*(f.relation(name) for f in factors))
+        interp[name] = [tuple(zip(*combo)) for combo in combos]
+    return Structure(sig, itertools.product(*(f.domain for f in factors)), interp)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_lazy_product_equals_the_product_of_element_tuples(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    sig = helpers.random_signature(rng, max_relations=3, max_arity=3)
+    factors = [
+        helpers.random_structure(rng, sig, max_dom=3, min_dom=0, density=rng.random())
+        for _ in range(rng.randint(1, 3))
+    ]
+    p, ref = product(factors), _reference_product(factors)
+    assert len(p.domain) == len(ref.domain) and p.tuple_count() == ref.tuple_count()
+    assert [p.domain[i] for i in range(len(p.domain))] == list(p.domain) == list(ref.domain)
+    assert all(p.rank[e] == i for i, e in enumerate(ref.domain))
+    assert p.labels() == ref.labels() == [core.element_label(e) for e in ref.domain]
+    for name in sig.names():
+        rows = list(zip(*p.columns(name)))
+        assert p.tuple_count(name) == len(rows) == len(set(rows))
+        assert sorted(rows) == list(ref.rows[name])
+    # read last: the rows the columns give, sorted, and the element tuples
+    assert p.rows == ref.rows and p.domain == ref.domain and p == ref
 
 
 def test_no_public_function_takes_a_guard():

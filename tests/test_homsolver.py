@@ -1,7 +1,10 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homforge.core import (
     Homomorphism,
@@ -186,60 +189,146 @@ def _shared_table_corpus(rng, count):
         yield source, target
 
 
-def _domains(csp, source):
+def _domains(csp, source, target):
     return {
-        x: {csp.values[i] for i in range(len(csp.values)) if csp.dom[r] >> i & 1}
+        x: {v for i, v in enumerate(target.domain) if csp.dom[r] >> i & 1}
         for r, x in enumerate(source.domain)
     }
 
 
+def _cache_sizes(csp):
+    """The entries of each image cache, then of each table's memo."""
+    tables = {id(c[0]): c[0] for c in csp.cons}.values()
+    return [len(cache) for _, cache in csp.directions] + [len(t.memo) for t in tables]
+
+
 def test_memoized_revisions_reach_the_reference_fixpoint():
     # the memo is shared by every constraint on a table, so a key that left
-    # out the repeat pattern would hand (x, y, x) the revision of (x, x, y)
+    # out the repeat pattern would hand (x, y, x) the revision of (x, x, y);
+    # an image cache is shared by every arc of one direction of a relation
     rng = random.Random(8)
-    consistent = memoized = 0
+    consistent = images = memoized = 0
     for source, target in _shared_table_corpus(rng, 80):
         csp = _Csp(source, target)
-        ok = csp.propagate(range(len(csp.cons)))
+        ok = csp.root()
         expected = helpers.reference_gac(source, target)
         assert ok == (expected is not None)
+        images += sum(len(cache) for _, cache in csp.directions)
         memoized += sum(len(c[0].memo) for c in csp.cons)
         if not ok:
             continue
         consistent += 1
-        assert _domains(csp, source) == expected
-        # one assignment more, propagated over the memo the root filled
+        assert _domains(csp, source, target) == expected
+        # one assignment more, propagated over the caches the root filled
         x = rng.choice(source.domain)
         value = rng.choice(sorted(expected[x], key=target.rank.get))
         pinned = csp.pin(source.rank[x], 1 << target.rank[value])
         expected = helpers.reference_gac(source, target, {**expected, x: {value}})
         assert pinned == (expected is not None)
         if pinned:
-            assert _domains(csp, source) == expected
-    assert consistent >= 20 and memoized > 0
+            assert _domains(csp, source, target) == expected
+    assert consistent >= 20 and images > 0 and memoized > 0
 
 
 def test_memo_stays_within_its_bound(monkeypatch):
+    # both kinds of cache: the image cache of each direction of a binary
+    # relation and the memo of each table
     monkeypatch.setattr(homsolver, "MEMO_LIMIT", 8)
     rng = random.Random(12)
-    emptied = 0
-    for source, target in _shared_table_corpus(rng, 10):
+    corpus = list(_shared_table_corpus(rng, 10))
+    # dense digraphs into 8 to 11 values meet many more domains per direction
+    sig = Signature((("E", 2),))
+    for _ in range(4):
+        source = helpers.random_structure(rng, sig, max_dom=7, min_dom=5, density=0.3)
+        target = helpers.random_structure(rng, sig, max_dom=11, min_dom=8, density=0.5)
+        corpus.append((source, target))
+    emptied = [0, 0]
+    for source, target in corpus:
         prefix = list(range(min(3, len(source.domain))))
         csp = _Csp(source, target)
-        tables = {id(c[0]): c[0] for c in csp.cons}.values()
+        n_images = len(csp.directions)
         solutions = []
-        sizes = [0] * len(tables)
+        sizes = _cache_sizes(csp)
         for value in csp.search(prefix):
             solutions.append(list(value))
-            for i, table in enumerate(tables):
-                assert len(table.memo) <= homsolver.MEMO_LIMIT
-                emptied += len(table.memo) < sizes[i]
-                sizes[i] = len(table.memo)
+            now = _cache_sizes(csp)
+            assert max(now) <= homsolver.MEMO_LIMIT
+            for i, (before, after) in enumerate(zip(sizes, now)):
+                emptied[i >= n_images] += after < before
+            sizes = now
         # the bound changes no answer
         with monkeypatch.context() as m:
             m.setattr(homsolver, "MEMO_LIMIT", 1 << 16)
             assert [list(v) for v in _Csp(source, target).search(prefix)] == solutions
-    assert emptied > 0
+    assert emptied[0] > 0 and emptied[1] > 0
+
+
+def _random_instance(rng, max_source=5):
+    """A source and target over relations of arity 1 to 3, any of them possibly empty.
+
+    Random tuples over a few elements repeat variables, loops included.
+    """
+    sig = helpers.random_signature(rng, max_relations=3, max_arity=3)
+    source = helpers.random_structure(rng, sig, max_dom=max_source, density=rng.random() / 2)
+    target = helpers.random_structure(rng, sig, max_dom=4, density=rng.random())
+    return source, target
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_fixpoint_equals_the_reference(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    source, target = _random_instance(rng)
+    csp = _Csp(source, target)
+    expected = helpers.reference_gac(source, target)
+    assert csp.root() == (expected is not None)
+    # every assignment in turn, from the root fixpoint, as the search makes it
+    while expected is not None:
+        assert _domains(csp, source, target) == expected
+        open_ = [x for x in source.domain if len(expected[x]) > 1]
+        if not open_:
+            break
+        x = rng.choice(open_)
+        value = rng.choice(sorted(expected[x], key=target.rank.get))
+        pinned = csp.pin(source.rank[x], 1 << target.rank[value])
+        expected = helpers.reference_gac(source, target, {**expected, x: {value}})
+        assert pinned == (expected is not None)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_decide_php_and_image_witnesses_match_the_oracle(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    source, target = _random_instance(rng, max_source=3)
+    factors = (source, helpers.random_structure(rng, source.signature, max_dom=2))
+    prod = product(factors)
+    homs = helpers.exhaustive_homs(prod, target)
+    verdict = decide_php(PhpInstance(factors, target))
+    assert verdict.yes == bool(homs)
+    if verdict.yes:
+        # the first map in the search order of an empty prefix is some map
+        assert verdict.witness.mapping in homs
+        verdict.witness.validate(prod, target)
+    dist = tuple(rng.choice(prod.domain) for _ in range(rng.randint(0, 2))) if prod.domain else ()
+    _check_image_witnesses(prod, target, dist)
+
+
+def test_decide_php_memory_stays_below_half_of_a_materialized_product():
+    # tracemalloc peak of decide_php on checkerboard m=6 (4096 product
+    # elements, 8070 tuples), Python 3.11: 4,552,483 bytes while the product
+    # was materialized (element tuples, rank dict, sorted rows, a record per
+    # binary constraint, a witness dict keyed by element tuples), 1,370,985
+    # bytes with the lazy product, neighbour lists and the value-list witness
+    checker = TileSystem(("k", "w"), {("k", "w"), ("w", "k")}, {("k", "w"), ("w", "k")})
+    inst = encode_tiling_php(TilingInstance(checker, ("w", "k", "w", "k", "w", "k")))
+    tracemalloc.start()
+    try:
+        verdict = decide_php(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.yes
+    assert peak < 4_552_483 // 2
 
 
 def test_root_propagation_leaves_no_trail():

@@ -315,7 +315,8 @@ def test_solve_tiling_guard_fires_before_encoding(tmp_path, capsys, monkeypatch)
     with pytest.raises(GuardExceededError) as exc:
         cli.cmd_solve_tiling(args)
     assert exc.value.cardinality == 256
-    monkeypatch.setenv("HOMFORGE_GUARD", "256")
+    # ... and 484 tuples: the product passes a guard of their sum exactly
+    monkeypatch.setenv("HOMFORGE_GUARD", "740")
     assert _solve_tiling(capsys, checker, ["w", "k", "w", "k"])[0] == 0
 
 
