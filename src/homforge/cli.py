@@ -40,13 +40,7 @@ from .core import (
 from .cq import canonical_structure, evaluate, load_query, query_to_dict
 from .errors import CertificateError, GuardExceededError, HomforgeError
 from .homsolver import decide_php
-from .tiling import (
-    TilingInstance,
-    check_tiling,
-    coordinate_element,
-    decode_hom_to_tiling,
-    encode_tiling_php,
-)
+from .tiling import TilingInstance, check_tiling, decode_hom_to_tiling, encode_tiling_php
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -123,9 +117,9 @@ def cmd_solve_tiling(args):
     check_guard(4**m, f"product domain would have 4^{m} elements")
     php = encode_tiling_php(inst)
     n = 2**m
-    # every cell, row-major, so the first solution is the least grid in that
-    # order with tiles tried in sorted order
-    cells = [coordinate_element(x, y, m) for y in range(n) for x in range(n)]
+    # every cell, row-major, by its product rank x * 2^m + y, so the first
+    # solution is the least grid in that order with tiles tried in sorted order
+    cells = [x << m | y for y in range(n) for x in range(n)]
     verdict = decide_php(php, cells)
     if not verdict.yes:
         return EXIT_NO, {"answer": "NO"}

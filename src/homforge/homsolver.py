@@ -53,8 +53,10 @@ assignment of the prefix yields its first solution only.  The callers
 differ only in the prefix:
 
 - find_homomorphism, through decide_php: the first solution and nothing
-  more.  check-hom passes no prefix; solve-tiling passes every grid cell in
-  row-major order, so the first solution is the least tiling in that order;
+  more.  Its prefix is given as source ranks.  check-hom passes none;
+  solve-tiling passes every grid cell in row-major order, cell (x, y) as
+  its product rank x * 2^m + y, so the first solution is the least tiling
+  in that order;
 - image_witnesses: the distinguished elements, so one witness per
   achievable image tuple, in lexicographic order of the tuples; the tuples
   the caller already knows are backtracked from as soon as they are
@@ -408,10 +410,11 @@ class _Csp:
 def find_homomorphism(source, target, prefix=()):
     """First homomorphism in the deterministic search order, or None.
 
-    The source elements of prefix are assigned first, in the given order.
+    The source elements whose ranks prefix lists are assigned first, in the
+    given order.
     """
     csp = _Csp(source, target)
-    for value in csp.search([source.rank[e] for e in prefix]):
+    for value in csp.search(prefix):
         return csp.homomorphism(value)
     return None
 
@@ -451,11 +454,11 @@ def decide_php(inst, prefix=()):
     """Decide whether the direct product of the factors maps into the target.
 
     The product is made once, and never materialized: find_homomorphism
-    searches it with prefix, and Homomorphism.validate, which shares no code
-    with the search, checks the witness (the search's value list) against
-    its columns before it is returned.  A product whose elements and tuples
-    together outnumber the size guard raises GuardExceededError before the
-    search.
+    searches it with prefix, a list of product ranks, and
+    Homomorphism.validate, which shares no code with the search, checks the
+    witness (the search's value list) against its columns before it is
+    returned.  A product whose elements and tuples together outnumber the
+    size guard raises GuardExceededError before the search.
     """
     prod = product(inst.factors)
     hom = find_homomorphism(prod, inst.target, prefix)

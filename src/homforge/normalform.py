@@ -64,14 +64,15 @@ def merge_relations(s):
     """Collapse a two-relation structure into one relation: cartesian product P x R.
 
     The relation first in the canonical order, by name (P after star_transform),
-    gives each merged tuple its first block.  More merged tuples than the
-    size guard raise GuardExceededError before any is built.
+    gives each merged tuple its first block.  More elements and tuples
+    together than the size guard raise GuardExceededError before any tuple
+    is built.
     """
     if len(s.signature.relations) != 2:
         raise InvalidStructureError("merge needs exactly two relations")
     (n1, a1), (n2, a2) = s.signature.relations
-    count = len(s.rows[n1]) * len(s.rows[n2])
-    check_guard(count, f"merged relation would have {count} tuples")
+    size, count = len(s.domain), len(s.rows[n1]) * len(s.rows[n2])
+    check_guard(size + count, f"merged structure would have {size} elements and {count} tuples")
     rel2 = s.relation(n2)
     tuples = tuple(p + r for p in s.relation(n1) for r in rel2)
     sig = Signature(((STAR_MERGED_RELATION, a1 + a2),))
@@ -109,12 +110,13 @@ def _single_relation(s):
 def pad_first_coordinate(s):
     """Raise the arity by one so the first coordinate projects onto the domain.
 
-    More padded tuples than the size guard raise GuardExceededError before
-    any is built.
+    More elements and tuples together than the size guard raise
+    GuardExceededError before any tuple is built.
     """
     name, arity = _single_relation(s)
-    count = len(s.domain) * len(s.rows[name])
-    check_guard(count, f"padded relation would have {count} tuples")
+    size = len(s.domain)
+    count = size * len(s.rows[name])
+    check_guard(size + count, f"padded structure would have {size} elements and {count} tuples")
     rel = s.relation(name)
     tuples = tuple((c,) + t for c in s.domain for t in rel)
     return Structure(Signature(((name, arity + 1),)), s.domain, {name: tuples})

@@ -4,7 +4,9 @@ A tiling instance fixes a tile system plus a prefix t_1..t_m of the first row;
 the question is whether the 2^m-by-2^m grid admits a valid tiling.  The
 encoding produces 2m two-element factor structures whose product realizes the
 horizontal/vertical successor relations as unions of decomposable pieces, and
-a target whose domain is the tile set.
+a target whose domain is the tile set.  Grid cell (x, y) is the product
+element whose 2m bits are x then y, so it is named by its product rank
+x * 2^m + y, in solve-tiling's search prefix and in the decoded witness.
 
 Two encoding modes exist.  "exact" realizes each successor piece with
 equality, using the one-directional bit relations s01/s10; "paper-literal"
@@ -12,8 +14,10 @@ uses the symmetric difference relation throughout, which realizes a strict
 superset of the successor pieces and is kept for study only.
 """
 
-from .core import PhpInstance, Record, Signature, Structure, load_json, string_list, string_rows
-from .errors import GuardExceededError, InvalidStructureError
+from .core import (
+    PhpInstance, Record, Signature, Structure, _RankMap, load_json, string_list, string_rows
+)
+from .errors import CertificateError, GuardExceededError, InvalidStructureError
 
 MODES = ("exact", "paper-literal")
 
@@ -148,8 +152,8 @@ def encode_tiling_php(inst, mode="exact"):
     """The 2m-factor PHP instance whose product maps to the target iff a tiling exists.
 
     Factor ell holds bit ell of the horizontal coordinate (ell <= m) or bit
-    ell-m of the vertical coordinate.  P_k pins grid position (k-1, 0) to the
-    k-th prefix tile.
+    ell-m of the vertical coordinate, most significant first.  P_k pins grid
+    position (k-1, 0) to the k-th prefix tile.
     """
     if mode not in MODES:
         raise InvalidStructureError(f"mode must be one of {MODES}")
@@ -161,7 +165,7 @@ def encode_tiling_php(inst, mode="exact"):
         for k in range(1, m + 1):
             interp[f"H{k}"] = _piece(k, m, ell, mode)
             interp[f"V{k}"] = _piece(m + k, 2 * m, ell, mode)
-            interp[f"P{k}"] = ((coordinate_element(k - 1, 0, m)[ell - 1],),)
+            interp[f"P{k}"] = ((str(((k - 1) >> (m - ell)) & 1) if ell <= m else "0",),)
         factors.append(Structure(sig, ("0", "1"), interp))
     sys = inst.system
     target_interp = {}
@@ -173,27 +177,20 @@ def encode_tiling_php(inst, mode="exact"):
     return PhpInstance(tuple(factors), target)
 
 
-def coordinate_element(x, y, m):
-    """The product element (bit tuple) encoding grid position (x, y)."""
-    for k in (x, y):
-        if not 0 <= k < 2**m:
-            raise InvalidStructureError(f"{k} is not in [0, 2^{m})")
-    return tuple(format(x, f"0{m}b") + format(y, f"0{m}b"))
-
-
 def decode_hom_to_tiling(hom, inst):
-    """Read a PHP witness of the exact encoding back as a grid assignment.
+    """Read the witness decide_php found for the exact encoding back as a grid assignment.
 
-    Only the grid cells are read; the map is not checked here, so check it
-    against the encoded product first (Homomorphism.validate).
+    Cell (x, y) takes the image of rank x * 2^m + y in the search's value
+    list; any other map raises CertificateError.  The map is not checked
+    here, so check it against the encoded product first (Homomorphism.validate).
     """
     m = inst.m
-    n = 2**m
-    return {
-        (x, y): hom.mapping[coordinate_element(x, y, m)]
-        for x in range(n)
-        for y in range(n)
-    }
+    n = 1 << m
+    ranks = hom.mapping
+    if not isinstance(ranks, _RankMap) or len(ranks.images) != n * n:
+        raise CertificateError(f"the map is not a search's witness on the 4^{m} grid cells")
+    tiles, images = ranks.target.domain, ranks.images
+    return {(x, y): tiles[images[x << m | y]] for x in range(n) for y in range(n)}
 
 
 # --- JSON file format -------------------------------------------------------

@@ -3,8 +3,9 @@
 Projections, tagged unions and binarized unary relations of core
 structures; composition of maps; the path-fan query; the starred instance
 before the merge; the apex audit of the PHP -> non-definability reduction;
-the bits of a grid coordinate and the successor relations of the tiling
-grid; and the full-prefix search, which lists every homomorphism.
+the bits of a grid coordinate, the product element of a grid cell, the
+grid a map of those elements assigns, and the successor relations of the
+tiling grid; and the full-prefix search, which lists every homomorphism.
 """
 
 import itertools
@@ -14,7 +15,6 @@ from homforge.cq import ConjunctiveQuery
 from homforge.errors import InvalidStructureError
 from homforge.homsolver import _Csp
 from homforge.normalform import out_path_lengths, star_transform
-from homforge.tiling import coordinate_element
 
 
 def projection(product_structure, i):
@@ -86,6 +86,22 @@ def bits(k, m):
     if not 0 <= k < 2**m:
         raise InvalidStructureError(f"{k} is not in [0, 2^{m})")
     return tuple((k >> (m - 1 - i)) & 1 for i in range(m))
+
+
+def coordinate_element(x, y, m):
+    """The product element (bit tuple) encoding grid position (x, y): the bits of x, then of y."""
+    for k in (x, y):
+        if not 0 <= k < 2**m:
+            raise InvalidStructureError(f"{k} is not in [0, 2^{m})")
+    return tuple(format(x, f"0{m}b") + format(y, f"0{m}b"))
+
+
+def decode_by_coordinates(hom, inst):
+    """The grid a map of the encoded product's elements assigns, read cell by cell."""
+    m = inst.m
+    return {
+        (x, y): hom.mapping[coordinate_element(x, y, m)] for x in range(2**m) for y in range(2**m)
+    }
 
 
 def successor_relations(m):

@@ -173,14 +173,15 @@ def test_bad_guard_value_exit_2(files, value):
 
 
 def test_reduce_steps_guard_their_quadratic_relations(tmp_path, monkeypatch, capsys):
-    # a directed 40-cycle: the star merge builds 40 * 41 = 1640 tuples and
-    # the first-coordinate pad 40 * 40 = 1600, both past a guard of 1000
+    # a directed 40-cycle: the star merge builds 40 * 41 = 1640 tuples on 41
+    # elements and the first-coordinate pad 40 * 40 = 1600 on 40, both past
+    # a guard of 1000
     nodes = [f"v{i}" for i in range(40)]
     cycle = tmp_path / "cycle.json"
     save_structure(digraph(nodes, zip(nodes, nodes[1:] + nodes[:1])), cycle)
     errors = {
-        "single-rel": "merged relation would have 1640 tuples (guard 1000)",
-        "digraph": "padded relation would have 1600 tuples (guard 1000)",
+        "single-rel": "merged structure would have 41 elements and 1640 tuples (guard 1000)",
+        "digraph": "padded structure would have 40 elements and 1600 tuples (guard 1000)",
     }
     for step, error in errors.items():
         argv = ["reduce", step, str(cycle), "--target", str(cycle)]
@@ -189,6 +190,24 @@ def test_reduce_steps_guard_their_quadratic_relations(tmp_path, monkeypatch, cap
         assert json.loads(capsys.readouterr().out) == {"error": error}
         assert not (tmp_path / "guarded").exists()
         monkeypatch.delenv("HOMFORGE_GUARD")
+        assert cli.main([*argv, "--out-dir", str(tmp_path / step)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["files"]) == 2
+
+
+def test_reduce_steps_guard_elements_plus_tuples(tmp_path, monkeypatch, capsys):
+    # the 40-cycle again: a guard of each step's tuple count alone admits
+    # its tuples but not its elements with them, and exits 3 before any
+    # file is written; a guard of exactly both together passes
+    nodes = [f"v{i}" for i in range(40)]
+    cycle = tmp_path / "cycle.json"
+    save_structure(digraph(nodes, zip(nodes, nodes[1:] + nodes[:1])), cycle)
+    for step, tuples, size in (("single-rel", 1640, 41), ("digraph", 1600, 40)):
+        argv = ["reduce", step, str(cycle), "--target", str(cycle)]
+        monkeypatch.setenv("HOMFORGE_GUARD", str(tuples))
+        assert cli.main([*argv, "--out-dir", str(tmp_path / "guarded")]) == 3
+        assert f"would have {size} elements and {tuples} tuples" in capsys.readouterr().out
+        assert not (tmp_path / "guarded").exists()
+        monkeypatch.setenv("HOMFORGE_GUARD", str(size + tuples))
         assert cli.main([*argv, "--out-dir", str(tmp_path / step)]) == 0
         assert len(json.loads(capsys.readouterr().out)["files"]) == 2
 

@@ -439,8 +439,9 @@ def test_decide_php_checks_the_witness_of_its_search(monkeypatch):
 
     monkeypatch.setattr(homsolver, "find_homomorphism", wrong)
     with pytest.raises(NotAHomomorphismError, match="missing in target"):
-        decide_php(PhpInstance((ONE_EDGE,), ONE_EDGE), [("b",)])
-    assert calls == [((("a",), ("b",)), [("b",)])]
+        decide_php(PhpInstance((ONE_EDGE,), ONE_EDGE), [1])
+    # the prefix is passed on as it is, a list of product ranks
+    assert calls == [((("a",), ("b",)), [1])]
 
 
 def test_decide_php_rejects_a_guard_that_is_not_a_number(monkeypatch):

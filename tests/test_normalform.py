@@ -75,14 +75,14 @@ def test_merge_relations_definition(monkeypatch):
     assert len(merged.relation("R")) == len(star.relation("P")) * len(
         star.relation("R")
     )
-    # |P| = 2 and |R| = 3
-    monkeypatch.setenv("HOMFORGE_GUARD", "6")
+    # |P| = 2 and |R| = 3 on 3 elements: 6 merged tuples, 9 with the elements
+    monkeypatch.setenv("HOMFORGE_GUARD", "9")
     assert merge_relations(star) == merged
-    monkeypatch.setenv("HOMFORGE_GUARD", "5")
+    monkeypatch.setenv("HOMFORGE_GUARD", "8")
     with pytest.raises(GuardExceededError) as exc:
         merge_relations(star)
-    assert exc.value.cardinality == 6
-    assert str(exc.value) == "merged relation would have 6 tuples (guard 5)"
+    assert exc.value.cardinality == 9
+    assert str(exc.value) == "merged structure would have 3 elements and 6 tuples (guard 8)"
 
 
 def test_merge_requires_two_relations():
@@ -193,13 +193,31 @@ def test_pad_first_coordinate_definition(monkeypatch):
     assert set(padded.relation("E")) == {("a", "a", "b"), ("b", "a", "b")}
     # first-coordinate projection is the full domain
     assert {t[0] for t in padded.relation("E")} == set(s.domain)
-    monkeypatch.setenv("HOMFORGE_GUARD", "2")
+    # 2 padded tuples on 2 elements
+    monkeypatch.setenv("HOMFORGE_GUARD", "4")
     assert pad_first_coordinate(s) == padded
-    monkeypatch.setenv("HOMFORGE_GUARD", "1")
+    monkeypatch.setenv("HOMFORGE_GUARD", "3")
     with pytest.raises(GuardExceededError) as exc:
         pad_first_coordinate(s)
-    assert exc.value.cardinality == 2
-    assert str(exc.value) == "padded relation would have 2 tuples (guard 1)"
+    assert exc.value.cardinality == 4
+    assert str(exc.value) == "padded structure would have 2 elements and 2 tuples (guard 3)"
+
+
+def test_merge_and_pad_guard_the_whole_structure_before_building(monkeypatch):
+    # the tuples alone fit the guard, the elements with them do not: the
+    # check comes before the relation the step reads its tuples from
+    star = star_transform(two_rel_example())
+    edge = digraph(("a", "b"), (("a", "b"),))
+
+    def relation(self, name):
+        raise AssertionError("a relation was read past the guard")
+
+    monkeypatch.setattr(Structure, "relation", relation)
+    for step, structure, tuples in ((merge_relations, star, 6), (pad_first_coordinate, edge, 2)):
+        monkeypatch.setenv("HOMFORGE_GUARD", str(tuples))
+        with pytest.raises(GuardExceededError) as exc:
+            step(structure)
+        assert exc.value.cardinality == tuples + len(structure.domain)
 
 
 def test_pad_preserves_php():

@@ -4,13 +4,16 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from homforge import cli, core, homsolver, tiling
-from homforge.core import Homomorphism, PhpInstance, product
-from homforge.errors import GuardExceededError, InvalidStructureError
+from homforge.core import (
+    Homomorphism, PhpInstance, ProductDomain, _ProductRank, _ProductRows, product
+)
+from homforge.errors import CertificateError, GuardExceededError, InvalidStructureError
 from homforge.homsolver import decide_php
 from homforge.tiling import (
     DIFF,
@@ -19,13 +22,12 @@ from homforge.tiling import (
     TilingInstance,
     brute_force_tiling,
     check_tiling,
-    coordinate_element,
     decode_hom_to_tiling,
     encode_tiling_php,
     tile_system_from_dict,
 )
 
-from paper_objects import binarize_unary, bits, successor_relations
+from paper_objects import binarize_unary, bits, coordinate_element, successor_relations
 
 
 CHECKER = TileSystem(
@@ -231,6 +233,117 @@ def test_reduce_tiling_files_are_pinned(key, capsys, tmp_path):
     files = json.loads(capsys.readouterr().out)["files"]
     digest = hashlib.sha256(b"".join(map(Path.read_bytes, map(Path, files)))).hexdigest()
     assert digest == REDUCE_TILING_SHA256[key]
+
+
+# (exit code, sha256 of stdout) of `solve-tiling`, recorded while it still
+# named every grid cell by its product element: for the checkerboard prefix
+# of length m, and for the tile systems _seeded_system draws, declared with
+# their tiles in sorted and in reversed order
+NO_SHA256 = "f78aa115e0a9b57562c89220fd45f6bf6e53f3c6888d4a30bafacabccc5b364d"
+SOLVE_TILING_SHA256 = {
+    "checker m=1": (0, "78566a9d6afea3801409d05b30a9d987d16a892a5d1311b11aa7e32cb83074b9"),
+    "checker m=2": (0, "e285996c30a201036969b5c400c6848e00b4666b5ce19450e8342543324fe0e5"),
+    "checker m=3": (0, "8ccd29172e16d2e5120694a5781a1794a00f45e9bd9b486f30362f493413c90a"),
+    "checker m=4": (0, "a706d4c1853f33fb74fee25abf82258d16d10be7c3324b259490c9260625f680"),
+    "checker m=5": (0, "8a92a3934095e4c3bceb279b2ca97dabdec2dad07d5600e28f19401981542f2a"),
+    "checker m=6": (0, "9bfc87cc522510c11813fc23c8b5b4a95a71768ad07649cc32ed60fb95aa5cba"),
+    "seed 0": (0, "574d038be59ca955f19529343176b6d4a5e90017f46c35cd56ff959011304d00"),
+    "seed 1": (1, NO_SHA256),
+    "seed 2": (0, "47d56e7ede5af8533ae16114155726d61f0425e178ebb13da3f1204aea99c7da"),
+    "seed 4": (0, "df067baf673d5e45b1a6dca08262d5646869b9f2f08d27b36baaaa04e638999b"),
+    "seed 5": (1, NO_SHA256),
+    "seed 9": (0, "ea4f3d5ad543206e753827cfed7b889e626becaf4660420c20976d1dbfa80292"),
+}
+
+
+def _seeded_system(seed):
+    """A random tile system of 2-4 tiles and a prefix of length 1-4, drawn from seed."""
+    rng = random.Random(seed)
+    m = rng.randint(1, 4)
+    tiles = [f"t{j}" for j in range(rng.randint(2, 4))]
+    pairs = [list(p) for p in itertools.product(tiles, repeat=2)]
+    data = {
+        "tiles": tiles,
+        "hcompat": [p for p in pairs if rng.random() < 0.6],
+        "vcompat": [p for p in pairs if rng.random() < 0.6],
+    }
+    return data, [rng.choice(tiles) for _ in range(m)]
+
+
+def _solve_tiling_stdout(capsys, tmp_path, key, declared=sorted):
+    """Exit code and stdout of `solve-tiling` on the instance a SOLVE_TILING_SHA256 key names."""
+    kind, number = key.split(" ", 1)
+    if kind == "checker":
+        m = int(number.removeprefix("m="))
+        data = {"tiles": ["k", "w"], "hcompat": [["k", "w"], ["w", "k"]],
+                "vcompat": [["k", "w"], ["w", "k"]]}
+        prefix = ["w" if i % 2 == 0 else "k" for i in range(m)]
+    else:
+        data, prefix = _seeded_system(int(number))
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({**data, "tiles": declared(data["tiles"])}))
+    code = cli.main(["solve-tiling", "--system", str(system), "--prefix", *prefix])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", list(SOLVE_TILING_SHA256))
+def test_solve_tiling_stdout_is_pinned(key, capsys, tmp_path):
+    for declared in (sorted, lambda tiles: sorted(tiles, reverse=True)):
+        code, out = _solve_tiling_stdout(capsys, tmp_path, key, declared)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == SOLVE_TILING_SHA256[key]
+
+
+def test_solve_tiling_builds_no_product_element(capsys, tmp_path, monkeypatch):
+    # between the encoding and the printed grid every cell is a product rank:
+    # no product element, sorted product row or element rank is read
+    def refuse(*args):
+        raise AssertionError("a product element was built")
+
+    for cls, name in ((ProductDomain, "__iter__"), (ProductDomain, "__getitem__"),
+                      (_ProductRows, "__getitem__"), (_ProductRank, "__getitem__")):
+        monkeypatch.setattr(cls, name, refuse)
+    for key in ("checker m=4", "seed 0", "seed 1"):
+        code, out = _solve_tiling_stdout(capsys, tmp_path, key)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == SOLVE_TILING_SHA256[key]
+
+
+def test_solve_tiling_memory_at_m6(capsys, tmp_path):
+    # tracemalloc peak of cli.main solve-tiling on checkerboard m=6 (4096
+    # cells), Python 3.11: 2,336,700 bytes while each cell was a bit tuple
+    # (the prefix and the decoded witness), 1,746,644 bytes by rank
+    tracemalloc.start()
+    try:
+        code, out = _solve_tiling_stdout(capsys, tmp_path, "checker m=6")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2_000_000
+
+
+def test_cell_rank_is_the_product_rank_of_its_bits():
+    # cell (x, y) is the product element of the bits of x then y, so its rank
+    # is x * 2^m + y; P_k pins those bits of cell (k-1, 0) factor by factor
+    for m in range(1, 5):
+        enc = encode_tiling_php(TilingInstance(FREE, ("t",) * m))
+        prod = product(enc.factors)
+        for x, y in itertools.product(range(2**m), repeat=2):
+            assert prod.rank[coordinate_element(x, y, m)] == x << m | y
+        for k in range(1, m + 1):
+            pin = coordinate_element(k - 1, 0, m)
+            assert [f.relation(f"P{k}") for f in enc.factors] == [((b,),) for b in pin]
+
+
+def test_decode_reads_only_a_search_witness():
+    # a map that is not the search's value list over the 4^m cells is refused
+    inst = TilingInstance(CHECKER, ("w",))
+    witness = decide_php(encode_tiling_php(inst)).witness
+    grid = {(0, 0): "w", (1, 0): "k", (0, 1): "k", (1, 1): "w"}
+    assert decode_hom_to_tiling(witness, inst) == grid
+    for hom, other in ((Homomorphism(dict(witness.mapping)), inst),
+                       (witness, TilingInstance(CHECKER, ("w", "k")))):
+        with pytest.raises(CertificateError):
+            decode_hom_to_tiling(hom, other)
 
 
 def _checker_file(tmp_path):
