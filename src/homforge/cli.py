@@ -1,16 +1,17 @@
 """Command-line surface: decisions, reductions, and query evaluation.
 
 All machine output is a single JSON document on stdout (pretty-printed with
---pretty).  Exit codes: 0 = decided YES / Definable, 1 = decided NO /
-NotDefinable, 2 = usage or parse error, 3 = a resource guard was hit,
-4 = internal error (an unexpected exception, or an answer whose certificate
-fails its check; the traceback goes to stderr).  Each decider checks its
-answer against the structure its search ran on: decide_php (check-hom,
-solve-tiling) every witness, decide_cq_definability (cqdef check) every
-NotDefinable certificate.  solve-tiling also checks the decoded grid.
-No command passes a size guard on: core.check_guard reads HOMFORGE_GUARD
-itself, and main reads it once first, so a bad value exits 2 whatever the
-command.
+--pretty), written once every check has passed; a witness or tiling is
+streamed in batches of labels in key order, so no whole answer is built.
+Exit codes: 0 = decided YES / Definable, 1 = decided NO / NotDefinable, 2 =
+usage or parse error, 3 = a resource guard was hit, 4 = internal error (an
+unexpected exception, or an answer whose certificate fails its check; the
+traceback goes to stderr).  Each decider checks its answer against the
+structure its search ran on: decide_php (check-hom, solve-tiling) every
+witness, decide_cq_definability (cqdef check) every NotDefinable
+certificate.  solve-tiling also checks the decoded grid.  No command passes
+a size guard on: core.check_guard reads HOMFORGE_GUARD itself, and main
+reads it once first, so a bad value exits 2 whatever the command.
 A plain argv is read straight from COMMANDS (see _quick_parse); help, usage
 and errors come from the full argparse tree of build_parser, the only
 importer of argparse, so a plain call never loads it (nor traceback, which
@@ -26,6 +27,7 @@ import types
 from . import cqdef, normalform, tiling
 from .core import (
     PhpInstance,
+    _quote,
     check_guard,
     element_label,
     load_json,
@@ -50,21 +52,34 @@ EXIT_INTERNAL = 4
 
 
 def _emit(payload, args):
-    if args.pretty:
-        text = json.dumps(payload, sort_keys=True, indent=2)
-    else:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """Write payload as json.dumps(payload, sort_keys=True) would, compact or with indent=2."""
     if sys.stdout is None:  # Python's value when fd 1 is closed at start-up
         raise OSError("stdout is closed")
-    # two writes: text + "\n" would copy a large answer once more
-    sys.stdout.write(text)
-    sys.stdout.write("\n")
+    write = sys.stdout.write
+    pad, colon, indent = ("\n  ", ": ", 2) if args.pretty else ("", ":", None)
+    lead = "{" + pad
+    for key in sorted(payload):
+        write(lead + _quote(key) + colon)
+        lead, value = "," + pad, payload[key]
+        if isinstance(value, types.GeneratorType):
+            # an object, as batches of (keys, values) label lists, keys ascending
+            inner, start = pad and pad + "  ", "{"
+            for keys, values in value:
+                if keys:
+                    items = map(colon.join, zip(map(_quote, keys), map(_quote, values)))
+                    write(start + inner + ("," + inner).join(items))
+                    start = ","
+            write("{}" if start == "{" else pad + "}")
+        else:
+            text = json.dumps(value, sort_keys=True, indent=indent, separators=(",", colon))
+            write(text.replace("\n", pad))
+    write(pad[:1] + "}\n")
     sys.stdout.flush()
 
 
 def _hom_to_json(hom):
-    # no sort here: _emit writes every object with sorted keys
-    return hom.labelled()
+    """The witness as one dict of labels, in the order _emit streams them."""
+    return {k: v for keys, values in hom.label_batches() for k, v in zip(keys, values)}
 
 
 def _load_instance(args):
@@ -85,7 +100,7 @@ def cmd_check_hom(args):
     verdict = decide_php(inst)
     payload = {"answer": "YES" if verdict.yes else "NO"}
     if verdict.yes and args.witness:
-        payload["witness"] = _hom_to_json(verdict.witness)
+        payload["witness"] = verdict.witness.label_batches()
     return (EXIT_YES if verdict.yes else EXIT_NO), payload
 
 
@@ -126,7 +141,9 @@ def cmd_solve_tiling(args):
     assignment = decode_hom_to_tiling(verdict.witness, inst)
     if not check_tiling(assignment, inst):
         raise CertificateError("the decoded grid is not a valid tiling")
-    grid = {f"{x},{y}": t for (x, y), t in assignment.items()}
+    # "," sorts before every digit, so "x,y" sorts as (str(x) + ",", str(y))
+    xs, ys = sorted(range(n), key="{},".format), sorted(range(n), key=str)
+    grid = (([f"{x},{y}" for y in ys], [assignment[x, y] for y in ys]) for x in xs)
     return EXIT_YES, {"answer": "YES", "tiling": grid}
 
 
@@ -192,7 +209,7 @@ def cmd_cqdef_check(args):
         "witness_tuple": [element_label(c) for c in verdict.witness_tuple],
     }
     if args.witness:
-        payload["witness_hom"] = _hom_to_json(verdict.witness_hom)
+        payload["witness_hom"] = verdict.witness_hom.label_batches()
     return EXIT_NO, payload
 
 

@@ -94,7 +94,12 @@ def element_label(e):
     """
     if isinstance(e, str):
         return e
-    return "[" + ",".join([_quote(c) if isinstance(c, str) else element_label(c) for c in e]) + "]"
+    return "[" + ",".join(map(_part, e)) + "]"
+
+
+def _part(c):
+    """The text element c shows inside the label of a tuple that holds it."""
+    return _quote(c) if isinstance(c, str) else element_label(c)
 
 
 class Record:
@@ -301,12 +306,29 @@ class Homomorphism(Record):
     def __call__(self, e):
         return self.mapping[e]
 
-    def labelled(self):
-        """The map as labels: element_label of each element -> element_label of its image."""
+    def label_batches(self):
+        """Yield a search's map on a product as label lists (keys, values), keys ascending.
+
+        No _part text is a proper prefix of another, so product labels sort
+        as the tuples of their factors' texts: each combination of the first
+        half of the factors is one batch, read off each factor sorted once.
+        """
+
+        def combinations(factors):
+            # sorted (texts, rank): each element's _part text + ",", and its rank
+            out = [("", 0)]
+            for f in factors:
+                pairs = sorted(zip(map(_part, f.domain), itertools.count()))
+                out = [(t + u + ",", r * len(pairs) + q) for t, r in out for u, q in pairs]
+            return out
+
         m = self.mapping
-        if isinstance(m, _RankMap):
-            return dict(zip(m.source.labels(), map(m.target.labels().__getitem__, m.images)))
-        return {element_label(k): element_label(v) for k, v in m.items()}
+        targets, images, factors = m.target.labels(), m.images, m.source.domain.factors
+        inner = combinations(factors[len(factors) // 2 :])
+        suffixes = [t[:-1] + "]" for t, _ in inner]
+        for t, r in combinations(factors[: len(factors) // 2]):
+            prefix, base = "[" + t, r * len(inner)
+            yield [prefix + s for s in suffixes], [targets[images[base + o]] for _, o in inner]
 
     def is_valid(self, source, target):
         try:
@@ -485,10 +507,7 @@ class ProductDomain:
 
     def labels(self):
         """The element_label of each element, joined from the factors' element labels."""
-        parts = [
-            [_quote(c) if isinstance(c, str) else element_label(c) for c in f.domain]
-            for f in self.factors
-        ]
+        parts = [list(map(_part, f.domain)) for f in self.factors]
         return ["[" + label + "]" for label in map(",".join, itertools.product(*parts))]
 
 

@@ -41,16 +41,16 @@ False for a wipeout.  A cache or memo of MEMO_LIMIT entries is emptied
 before it takes another.
 
 There is one search, _Csp.search(prefix).  It propagates at the root, whose
-changes nothing undoes and so leave no trail, then keeps a single domain
-list, records every domain change on a trail and undoes it on backtrack; an
-explicit stack replaces recursion, so depth is limited by memory rather
-than by the interpreter.  Arc consistency is restored after each
-assignment.  The distinct prefix variables are assigned first, in the given
-order; after them, the variable picked is the most constrained one keyed on
-(domain size, rank).  Values are tried in canonical order.  After each
-solution the search backtracks to the last prefix variable, so every
-assignment of the prefix yields its first solution only.  The callers
-differ only in the prefix:
+changes nothing undoes and so leave no trail; a root that leaves every
+domain a singleton has found the one solution.  Otherwise it records every
+domain change on a flat trail of (variable, old domain) pairs and undoes it
+on backtrack; a flat list of frames replaces recursion, so depth is limited
+by memory.  Arc consistency is restored after each assignment.  The
+distinct prefix variables are assigned first, in the given order; then the
+most constrained variable, keyed on (domain size, rank).  Values are tried
+in canonical order.  After each solution the search backtracks to the last
+prefix variable, so every assignment of the prefix yields its first
+solution only.  The callers differ only in the prefix:
 
 - find_homomorphism, through decide_php: the first solution and nothing
   more.  Its prefix is given as source ranks.  check-hom passes none;
@@ -226,7 +226,7 @@ class _Csp:
                         arcs[y] = [x, k + 1]
             else:
                 self._add_table(_Table(rows, arity, n_values), cols)
-        self.trail = []  # (variable, domain before the change)
+        self.trail = []  # flat: variable, its domain before the change, ...
         self._queued = bytearray(n)
 
     def _add_table(self, table, cols):
@@ -250,9 +250,9 @@ class _Csp:
         if not d & bit:
             return False
         if d != bit:
-            self.trail.append((var, d))
+            self.trail += (var, d)
             self.dom[var] = bit
-            return self.propagate((var,))
+            return self.propagate((var,), self.trail)
         return True
 
     def root(self):
@@ -265,9 +265,9 @@ class _Csp:
         seeds = [v for v, (d, cs) in enumerate(zip(self.dom, self.var_cons)) if d != full or cs]
         return 0 not in self.dom and self.propagate(seeds)
 
-    def propagate(self, seeds):
-        """Revise from the variables in seeds to the arc-consistent fixpoint; False on a wipeout."""
-        dom, trail, arcs, directions = self.dom, self.trail, self.arcs, self.directions
+    def propagate(self, seeds, trail=None):
+        """Propagate from seeds to the fixpoint, recording on trail if given; False on a wipeout."""
+        dom, arcs, directions = self.dom, self.arcs, self.directions
         cons, var_cons, queued = self.cons, self.var_cons, self._queued
         queue = []
         for x in seeds:
@@ -311,7 +311,8 @@ class _Csp:
                         for v in queue:
                             queued[v] = 0
                         return False
-                    trail.append((y, e))
+                    if trail is not None:
+                        trail += (y, e)
                     dom[y] = nd
                     if not queued[y]:
                         queued[y] = 1
@@ -333,23 +334,25 @@ class _Csp:
         from as soon as it is made; undoing it restores the state its
         successors start from, so the other solutions do not change.
         """
-        dom, trail = self.dom, self.trail
-        n = len(dom)
-        value = [-1] * n
-        if not self.root():
+        dom, n = self.dom, len(self.dom)
+        if not self.root() or not prefix and () in skip:
             return
-        # nothing undoes the root's changes, so they leave no trail
-        trail.clear()
-        if not prefix and () in skip:
+        if max(map(int.bit_count, dom), default=1) == 1:
+            # the one solution, which the descent reaches without a backtrack
+            value = [d.bit_length() - 1 for d in dom]
+            if not skip or tuple([value[v] for v in prefix]) not in skip:
+                yield value
             return
-        if n == 0:
-            yield value
-            return
-        order = list(dict.fromkeys(prefix))
+        trail, value = self.trail, [-1] * n
+        order, seen = [], bytearray(n)
+        for v in prefix:
+            if not seen[v]:
+                seen[v] = 1
+                order.append(v)
         depth = len(order)
-        # lazy heap of (domain size, variable); an entry is live while it
-        # matches an unassigned variable's current domain size
-        heap = [(d.bit_count(), v) for v, d in enumerate(dom)]
+        # lazy heap of size * n + variable, which orders as (domain size, variable);
+        # an entry is live while it matches an unassigned variable's domain size
+        heap = [d.bit_count() * n + v for v, d in enumerate(dom)]
         heapq.heapify(heap)
 
         def pick():
@@ -357,51 +360,52 @@ class _Csp:
             # checked before the prefix too: a search whose prefix is every
             # variable never pops the heap, only pushes to it
             if len(heap) > 4 * n:
-                heap = [(dom[v].bit_count(), v) for v in range(n) if value[v] < 0]
+                heap = [dom[v].bit_count() * n + v for v in range(n) if value[v] < 0]
                 heapq.heapify(heap)
-            if len(stack) < depth:
-                return order[len(stack)]
+            if len(frames) < 3 * depth:
+                return order[len(frames) // 3]
             while True:
-                size, v = heapq.heappop(heap)
+                size, v = divmod(heapq.heappop(heap), n)
                 if value[v] < 0 and dom[v].bit_count() == size:
                     return v
 
-        stack = []  # frames [variable, untried value bits, trail mark]
+        # the frames, flat: variable, untried value bits, trail mark per frame
+        frames = []
         var = pick()
-        stack.append([var, dom[var], len(trail)])
-        while stack:
-            frame = stack[-1]
-            var, untried, mark = frame
+        frames += (var, dom[var], 0)
+        while frames:
+            var, untried, mark = frames[-3:]
             while len(trail) > mark:
-                v, d = trail.pop()
+                d = trail.pop()
+                v = trail.pop()
                 dom[v] = d
-                heapq.heappush(heap, (d.bit_count(), v))
+                heapq.heappush(heap, d.bit_count() * n + v)
             if not untried:
                 value[var] = -1
-                heapq.heappush(heap, (dom[var].bit_count(), var))
-                stack.pop()
+                heapq.heappush(heap, dom[var].bit_count() * n + var)
+                del frames[-3:]
                 continue
             low = untried & -untried
-            frame[1] = untried ^ low
+            frames[-2] = untried ^ low
             value[var] = low.bit_length() - 1
             # an arc-consistent node has a support for every value, so
             # each fully assigned scope holds without checking it
             if not self.pin(var, low):
                 continue
-            if skip and len(stack) == depth and tuple([value[v] for v in prefix]) in skip:
+            if skip and len(frames) == 3 * depth and tuple([value[v] for v in prefix]) in skip:
                 continue
-            for i in range(mark, len(trail)):
-                v = trail[i][0]
-                heapq.heappush(heap, (dom[v].bit_count(), v))
-            if len(stack) < n:
+            # past var's own entry, which pin records first when it records any
+            for v in trail[mark + 2 :: 2]:
+                heapq.heappush(heap, dom[v].bit_count() * n + v)
+            if len(frames) < 3 * n:
                 var = pick()
-                stack.append([var, dom[var], len(trail)])
+                frames += (var, dom[var], len(trail))
                 continue
             yield value
-            for v, _, _ in stack[depth:]:
+            for v in frames[3 * depth :: 3]:
                 value[v] = -1
-                heapq.heappush(heap, (dom[v].bit_count(), v))
-            del stack[depth:]
+                heapq.heappush(heap, dom[v].bit_count() * n + v)
+            del frames[3 * depth :]
 
     def homomorphism(self, value):
         return Homomorphism._of_ranks(self.source, self.target, list(value))
