@@ -9,7 +9,8 @@ unexpected exception, or an answer whose certificate fails its check; the
 traceback goes to stderr).  Each decider checks its answer against the
 structure its search ran on: decide_php (check-hom, solve-tiling) every
 witness, decide_cq_definability (cqdef check) every NotDefinable
-certificate.  solve-tiling also checks the decoded grid.  No command passes
+certificate.  solve-tiling also checks the decoded grid, whose rows it
+reads straight off the search's value list.  No command passes
 a size guard on: core.check_guard reads HOMFORGE_GUARD itself, and main
 reads it once first, so a bad value exits 2 whatever the command.
 A plain argv is read straight from COMMANDS (see _quick_parse); help, usage
@@ -131,19 +132,19 @@ def cmd_solve_tiling(args):
     # alone grows faster than m^2
     check_guard(4**m, f"product domain would have 4^{m} elements")
     php = encode_tiling_php(inst)
-    n = 2**m
-    # every cell, row-major, by its product rank x * 2^m + y, so the first
+    # y's factors first: cell (x, y) is then product rank y * 2^m + x, so the
+    # prefix of every cell in row-major order is range(4^m) and the first
     # solution is the least grid in that order with tiles tried in sorted order
-    cells = [x << m | y for y in range(n) for x in range(n)]
-    verdict = decide_php(php, cells)
+    verdict = decide_php(PhpInstance(php.factors[m:] + php.factors[:m], php.target), range(4**m))
     if not verdict.yes:
         return EXIT_NO, {"answer": "NO"}
-    assignment = decode_hom_to_tiling(verdict.witness, inst)
-    if not check_tiling(assignment, inst):
+    rows = decode_hom_to_tiling(verdict.witness, inst)
+    if not check_tiling(rows, inst):
         raise CertificateError("the decoded grid is not a valid tiling")
     # "," sorts before every digit, so "x,y" sorts as (str(x) + ",", str(y))
+    n = 2**m
     xs, ys = sorted(range(n), key="{},".format), sorted(range(n), key=str)
-    grid = (([f"{x},{y}" for y in ys], [assignment[x, y] for y in ys]) for x in xs)
+    grid = (([f"{x},{y}" for y in ys], [rows[y][x] for y in ys]) for x in xs)
     return EXIT_YES, {"answer": "YES", "tiling": grid}
 
 

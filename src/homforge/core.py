@@ -433,17 +433,6 @@ def _require_shared_signature(structures):
     return sig
 
 
-def product_domain(factors):
-    """Iterator over the n-tuples of factor elements, in canonical order.
-
-    The size check comes first: more than size_guard() elements raise
-    GuardExceededError before any tuple is built.
-    """
-    size = math.prod(len(f.domain) for f in factors)
-    check_guard(size, f"product domain would have {size} elements")
-    return itertools.product(*(f.domain for f in factors))
-
-
 class ProductDomain:
     """The domain of a direct product, in canonical order, with no element stored.
 

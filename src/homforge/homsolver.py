@@ -41,21 +41,23 @@ False for a wipeout.  A cache or memo of MEMO_LIMIT entries is emptied
 before it takes another.
 
 There is one search, _Csp.search(prefix).  It propagates at the root, whose
-changes nothing undoes and so leave no trail; a root that leaves every
-domain a singleton has found the one solution.  Otherwise it records every
-domain change on a flat trail of (variable, old domain) pairs and undoes it
-on backtrack; a flat list of frames replaces recursion, so depth is limited
-by memory.  Arc consistency is restored after each assignment.  The
-distinct prefix variables are assigned first, in the given order; then the
-most constrained variable, keyed on (domain size, rank).  Values are tried
-in canonical order.  After each solution the search backtracks to the last
-prefix variable, so every assignment of the prefix yields its first
-solution only.  The callers differ only in the prefix:
+changes nothing undoes and so leave no trail.  A root that leaves every
+prefix variable a singleton, and every other variable a singleton or in no
+constraint, has found the first solution: each domain's least value.
+Otherwise it records every domain change on a flat trail of (variable, old
+domain) pairs and undoes it on backtrack; a flat list of frames replaces
+recursion, so depth is limited by memory.  Arc consistency is restored
+after each assignment.  The distinct prefix variables are assigned first,
+in the given order; then the most constrained variable, keyed on (domain
+size, rank).  Values are tried in canonical order.  After each solution
+the search backtracks to the last prefix variable, so every assignment of
+the prefix yields its first solution only.  The callers differ only in the prefix:
 
 - find_homomorphism, through decide_php: the first solution and nothing
   more.  Its prefix is given as source ranks.  check-hom passes none;
-  solve-tiling passes every grid cell in row-major order, cell (x, y) as
-  its product rank x * 2^m + y, so the first solution is the least tiling
+  solve-tiling searches the tiling encoding with y's factors first, so
+  cell (x, y) is product rank y * 2^m + x and its prefix, every cell in
+  row-major order, is range(4^m): the first solution is the least tiling
   in that order;
 - image_witnesses: the distinguished elements, so one witness per
   achievable image tuple, in lexicographic order of the tuples; the tuples
@@ -337,9 +339,12 @@ class _Csp:
         dom, n = self.dom, len(self.dom)
         if not self.root() or not prefix and () in skip:
             return
-        if max(map(int.bit_count, dom), default=1) == 1:
-            # the one solution, which the descent reaches without a backtrack
-            value = [d.bit_length() - 1 for d in dom]
+        if all(dom[v] & (dom[v] - 1) == 0 for v in prefix) and all(
+            d & (d - 1) == 0 or not (a or c) for d, a, c in zip(dom, self.arcs, self.var_cons)
+        ):
+            # the first solution, which the descent reaches without a
+            # backtrack: a variable in no constraint takes its least value
+            value = [(d & -d).bit_length() - 1 for d in dom]
             if not skip or tuple([value[v] for v in prefix]) not in skip:
                 yield value
             return

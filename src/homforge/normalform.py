@@ -16,7 +16,6 @@ from .core import (
     Structure,
     check_guard,
     product,
-    product_domain,
 )
 from .errors import (
     CyclicStructureError,
@@ -92,7 +91,7 @@ def lift_hom_star(hom, inst):
     component is sent to the fresh zero.  The same mapping also validates for
     the merged (single-relation) instance, whose domains are unchanged.
     """
-    elements = product_domain([star_transform(f) for f in inst.factors])
+    elements = product([star_transform(f) for f in inst.factors]).domain
     hom.validate(product(inst.factors), inst.target)
     mapping = {}
     for e in elements:
@@ -207,7 +206,7 @@ def lift_hom_digraph(hom, inst):
     """
     padded = pad_instance(inst)
     gadgets = [gadget_digraph(f, with_sinks=False) for f in padded.factors]
-    elements = product_domain(gadgets)
+    elements = product(gadgets).domain
     hom.validate(product(padded.factors), padded.target)
     name, r = _single_relation(padded.target)
 
@@ -250,7 +249,7 @@ def restrict_hom_digraph(hom, inst):
     hom.validate(product(transformed.factors), transformed.target)
     padded = pad_instance(inst)
     mapping = {}
-    for e in product_domain(padded.factors):
+    for e in product(padded.factors).domain:
         v = tuple(base_node(c) for c in e)
         image = hom.mapping[v]
         if not is_base(image):

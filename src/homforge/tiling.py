@@ -5,8 +5,10 @@ the question is whether the 2^m-by-2^m grid admits a valid tiling.  The
 encoding produces 2m two-element factor structures whose product realizes the
 horizontal/vertical successor relations as unions of decomposable pieces, and
 a target whose domain is the tile set.  Grid cell (x, y) is the product
-element whose 2m bits are x then y, so it is named by its product rank
-x * 2^m + y, in solve-tiling's search prefix and in the decoded witness.
+element whose 2m bits are x then y.  solve-tiling searches the same factors
+with y's first, so there cell (x, y) is product rank y * 2^m + x, row-major
+order is rank order, and the grid is read off the search's value list as
+rows: rows[y][x] is the tile of cell (x, y), the one grid form of this module.
 
 Two encoding modes exist.  "exact" realizes each successor piece with
 equality, using the one-directional bit relations s01/s10; "paper-literal"
@@ -65,64 +67,44 @@ class TilingInstance(Record):
         return len(self.prefix)
 
 
-def check_tiling(assignment, inst):
-    """True iff the assignment is total, compatible, and matches the prefix."""
-    n = 2**inst.m
-    sys = inst.system
-    for x in range(n):
-        for y in range(n):
-            if (x, y) not in assignment:
-                return False
-    for k, tile in enumerate(inst.prefix):
-        if assignment[(k, 0)] != tile:
-            return False
-    for x in range(n):
-        for y in range(n):
-            if x + 1 < n and (assignment[(x, y)], assignment[(x + 1, y)]) not in sys.hcompat:
-                return False
-            if y + 1 < n and (assignment[(x, y)], assignment[(x, y + 1)]) not in sys.vcompat:
-                return False
-    return True
+def check_tiling(rows, inst):
+    """True iff rows, the grid as rows[y][x], is 2^m square, has the prefix and is compatible."""
+    n, sys = 2**inst.m, inst.system
+    if len(rows) != n or any(len(row) != n for row in rows):
+        return False
+    return (
+        tuple(rows[0][: inst.m]) == inst.prefix
+        and all(sys.hcompat.issuperset(zip(row, row[1:])) for row in rows)
+        and all(sys.vcompat.issuperset(zip(below, above)) for below, above in zip(rows, rows[1:]))
+    )
 
 
 def brute_force_tiling(inst):
-    """Exhaustive backtracking oracle over all grid assignments (m <= 3 only)."""
+    """Exhaustive backtracking oracle over all grid assignments (m <= 3 only): rows[y][x], or None."""
     if inst.m > BRUTE_FORCE_MAX_M:
         raise GuardExceededError(
             f"brute-force oracle is limited to m <= {BRUTE_FORCE_MAX_M}", 4**inst.m
         )
     n = 2**inst.m
     sys = inst.system
-    cells = [(x, y) for y in range(n) for x in range(n)]
-    assignment = {}
-
-    def candidates(x, y):
-        if y == 0 and x < inst.m:
-            return (inst.prefix[x],)
-        return sys.tiles
-
-    def fits(x, y, tile):
-        if x > 0 and (assignment[(x - 1, y)], tile) not in sys.hcompat:
-            return False
-        if y > 0 and (assignment[(x, y - 1)], tile) not in sys.vcompat:
-            return False
-        return True
+    rows = [[None] * n for _ in range(n)]
 
     def search(i):
-        if i == len(cells):
+        # cell i in row-major order; its left and lower neighbours are set
+        if i == n * n:
             return True
-        x, y = cells[i]
-        for tile in candidates(x, y):
-            if fits(x, y, tile):
-                assignment[(x, y)] = tile
-                if search(i + 1):
-                    return True
-                del assignment[(x, y)]
+        y, x = divmod(i, n)
+        for tile in (inst.prefix[x],) if y == 0 and x < inst.m else sys.tiles:
+            if x and (rows[y][x - 1], tile) not in sys.hcompat:
+                continue
+            if y and (rows[y - 1][x], tile) not in sys.vcompat:
+                continue
+            rows[y][x] = tile
+            if search(i + 1):
+                return True
         return False
 
-    if search(0):
-        return dict(assignment)
-    return None
+    return rows if search(0) else None
 
 
 def tiling_signature(m):
@@ -178,19 +160,20 @@ def encode_tiling_php(inst, mode="exact"):
 
 
 def decode_hom_to_tiling(hom, inst):
-    """Read the witness decide_php found for the exact encoding back as a grid assignment.
+    """Read the witness decide_php found for the exact encoding, y's factors first, as rows[y][x].
 
-    Cell (x, y) takes the image of rank x * 2^m + y in the search's value
-    list; any other map raises CertificateError.  The map is not checked
-    here, so check it against the encoded product first (Homomorphism.validate).
+    With the m factors of y's bits before those of x, cell (x, y) is product
+    rank y * 2^m + x, so row y is the images of ranks y * 2^m .. (y + 1) *
+    2^m - 1 in the search's value list; any other map raises
+    CertificateError.  The map is not checked here, so check it against the
+    encoded product first (Homomorphism.validate).
     """
     m = inst.m
-    n = 1 << m
     ranks = hom.mapping
-    if not isinstance(ranks, _RankMap) or len(ranks.images) != n * n:
+    if not isinstance(ranks, _RankMap) or len(ranks.images) != 4**m:
         raise CertificateError(f"the map is not a search's witness on the 4^{m} grid cells")
     tiles, images = ranks.target.domain, ranks.images
-    return {(x, y): tiles[images[x << m | y]] for x in range(n) for y in range(n)}
+    return [list(map(tiles.__getitem__, images[y << m : (y + 1) << m])) for y in range(1 << m)]
 
 
 # --- JSON file format -------------------------------------------------------

@@ -4,8 +4,10 @@ Projections, tagged unions and binarized unary relations of core
 structures; composition of maps; the path-fan query; the starred instance
 before the merge; the apex audit of the PHP -> non-definability reduction;
 the bits of a grid coordinate, the product element of a grid cell, the
-grid a map of those elements assigns, and the successor relations of the
-tiling grid; and the full-prefix search, which lists every homomorphism.
+grid a map of those elements assigns, the tiling check over a grid keyed
+by (x, y), which tiling.check_tiling over rows replaced, and the successor
+relations of the tiling grid; and the full-prefix search, which lists every
+homomorphism.
 """
 
 import itertools
@@ -97,11 +99,29 @@ def coordinate_element(x, y, m):
 
 
 def decode_by_coordinates(hom, inst):
-    """The grid a map of the encoded product's elements assigns, read cell by cell."""
+    """The grid a map of the encoded product's elements assigns, rows[y][x], read cell by cell."""
     m = inst.m
-    return {
-        (x, y): hom.mapping[coordinate_element(x, y, m)] for x in range(2**m) for y in range(2**m)
-    }
+    return [[hom.mapping[coordinate_element(x, y, m)] for x in range(2**m)] for y in range(2**m)]
+
+
+def check_tiling_by_coordinates(assignment, inst):
+    """True iff the assignment {(x, y): tile} is total, compatible, and matches the prefix."""
+    n = 2**inst.m
+    sys = inst.system
+    for x in range(n):
+        for y in range(n):
+            if (x, y) not in assignment:
+                return False
+    for k, tile in enumerate(inst.prefix):
+        if assignment[(k, 0)] != tile:
+            return False
+    for x in range(n):
+        for y in range(n):
+            if x + 1 < n and (assignment[(x, y)], assignment[(x + 1, y)]) not in sys.hcompat:
+                return False
+            if y + 1 < n and (assignment[(x, y)], assignment[(x, y + 1)]) not in sys.vcompat:
+                return False
+    return True
 
 
 def successor_relations(m):

@@ -446,7 +446,8 @@ def test_cqdef_check_invalid_certificate_exits_4(
 
 @pytest.mark.parametrize("corruption", ["search", "grid"])
 def test_solve_tiling_invalid_tiling_exits_4(tmp_path, monkeypatch, capsys, corruption):
-    # the checkerboard on the 2x2 grid: (0, 0) is w, so (1, 0) must be k
+    # the checkerboard on the 2x2 grid: (0, 0) is w, so (1, 0) and (0, 1)
+    # must be k; the search's element ("1", "0") is one of them
     system = tmp_path / "checker.json"
     alternate = [["k", "w"], ["w", "k"]]
     system.write_text(json.dumps({"tiles": ["k", "w"], "hcompat": alternate, "vcompat": alternate}))
@@ -464,9 +465,9 @@ def test_solve_tiling_invalid_tiling_exits_4(tmp_path, monkeypatch, capsys, corr
         decode = cli.decode_hom_to_tiling
 
         def corrupt(hom, inst):
-            grid = decode(hom, inst)
-            assert grid[(1, 0)] == "k"
-            return {**grid, (1, 0): "w"}
+            rows = decode(hom, inst)
+            assert rows[0] == ["w", "k"]
+            return [["w", "w"], rows[1]]
 
         monkeypatch.setattr(cli, "decode_hom_to_tiling", corrupt)
     code = cli.main(["solve-tiling", "--system", str(system), "--prefix", "w"])

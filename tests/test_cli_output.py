@@ -10,7 +10,7 @@ import json
 
 from homforge import cli
 from homforge.core import Homomorphism, save_structure
-from homforge.tiling import TileSystem, TilingInstance
+from homforge.tiling import TileSystem, TilingInstance, check_tiling
 
 from paper_objects import decode_by_coordinates
 from test_acceptance import _tiny_single_relation_corpus
@@ -130,5 +130,5 @@ def test_check_hom_checkerboard_m5_under_default_recursion_limit(capsys, tmp_pat
     payload = json.loads(out)
     assert payload["answer"] == "YES"
     hom = Homomorphism({_element(k): v for k, v in payload["witness"].items()})
-    grid = decode_by_coordinates(hom, TilingInstance(CHECKER, tuple(_checker_prefix(5))))
-    assert len(grid) == 32 * 32
+    inst = TilingInstance(CHECKER, tuple(_checker_prefix(5)))
+    assert check_tiling(decode_by_coordinates(hom, inst), inst)

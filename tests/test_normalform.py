@@ -173,16 +173,17 @@ def test_lift_hom_star_guards_the_starred_product():
 
 
 def test_lift_hom_star_reads_the_guard_from_the_environment(monkeypatch):
-    # the product of two edges has 4 elements, the starred product 3 * 3 = 9
+    # the product of two edges has 4 elements; the starred product has 3 * 3
+    # = 9, and 2 * 2 tuples in each of P and R, 17 in all
     edge = digraph(("a", "b"), (("a", "b"),))
     inst = PhpInstance((edge, edge), edge)
     hom = projection(product(inst.factors), 0)
-    monkeypatch.setenv("HOMFORGE_GUARD", "8")
+    monkeypatch.setenv("HOMFORGE_GUARD", "16")
     with pytest.raises(GuardExceededError) as exc:
         lift_hom_star(hom, inst)
-    assert exc.value.cardinality == 9
-    assert str(exc.value) == "product domain would have 9 elements (guard 8)"
-    monkeypatch.setenv("HOMFORGE_GUARD", "9")
+    assert exc.value.cardinality == 17
+    assert str(exc.value) == "product would have 9 elements and 8 tuples (guard 16)"
+    monkeypatch.setenv("HOMFORGE_GUARD", "17")
     assert len(lift_hom_star(hom, inst).mapping) == 9
 
 

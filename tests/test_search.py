@@ -2,8 +2,9 @@
 
 The search keeps its frames and trail flat, orders its heap by one int per
 entry and reads a solution off the domains when root propagation leaves
-every domain a singleton.  None of that may change a first solution, an
-image key or a witness: each is compared with reference_search.ReferenceCsp.
+every variable a singleton or in no constraint.  None of that may change a
+first solution, an image key or a witness: each is compared with
+reference_search.ReferenceCsp.
 """
 
 import heapq
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homforge.core import PointedStructure, digraph, product
+from homforge.core import PhpInstance, PointedStructure, digraph, product
 from homforge.homsolver import _Csp, decide_php, find_homomorphism, image_witnesses
 from homforge.tiling import TileSystem, TilingInstance, encode_tiling_php
 
@@ -95,20 +96,24 @@ def test_the_shortcut_and_the_descent_both_run():
 
 def test_a_root_that_decides_every_variable_builds_no_heap(monkeypatch):
     # checkerboard m=3: root arc consistency fixes all 64 cells, so check-hom's
-    # search and solve-tiling's search with every cell in its prefix both read
-    # the solution off the domains
+    # search and solve-tiling's search (y's factors first, every cell in its
+    # prefix) both read the solution off the domains; so does a search whose
+    # undecided variables are in no constraint, each taking its least value
     inst = encode_tiling_php(TilingInstance(CHECKER, ("w", "k", "w")))
-    expected = first_solution(product(inst.factors), inst.target)
+    rows_first = PhpInstance(inst.factors[3:] + inst.factors[:3], inst.target)
+    cases = [(inst, ()), (rows_first, range(64))]
+    expected = [first_solution(product(php.factors), php.target) for php, _ in cases]
 
     def no_heap(heap):
         raise AssertionError("a heap was built")
 
     monkeypatch.setattr(heapq, "heapify", no_heap)
-    m, n = 3, 8
-    cells = [x << m | y for y in range(n) for x in range(n)]
-    for prefix in ((), cells):
-        verdict = decide_php(inst, prefix)
-        assert verdict.yes and verdict.witness.mapping.images == expected
+    for (php, prefix), images in zip(cases, expected):
+        verdict = decide_php(php, prefix)
+        assert verdict.yes and verdict.witness.mapping.images == images
+    # c is in no edge: a and b are decided at the root, c takes x
+    hom = find_homomorphism(digraph("abc", ["ab"]), digraph("xy", ["xy"]))
+    assert hom.mapping.images == [0, 1, 0]
     # a search that must descend does build one
     with pytest.raises(AssertionError, match="a heap was built"):
         find_homomorphism(digraph("ab", ["ab"]), digraph("xy", ["xy", "yx"]))

@@ -8,6 +8,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homforge import cli, core, homsolver, tiling
 from homforge.core import (
@@ -27,7 +29,9 @@ from homforge.tiling import (
     tile_system_from_dict,
 )
 
-from paper_objects import binarize_unary, bits, coordinate_element, successor_relations
+from paper_objects import (
+    binarize_unary, bits, check_tiling_by_coordinates, coordinate_element, successor_relations
+)
 
 
 CHECKER = TileSystem(
@@ -37,6 +41,17 @@ CHECKER = TileSystem(
 )
 FREE = TileSystem(("t",), frozenset({("t", "t")}), frozenset({("t", "t")}))
 STUCK = TileSystem(("t",), frozenset(), frozenset({("t", "t")}))
+# alternating along a row, constant up a column: the grid is not its own transpose
+STRIPES = TileSystem(
+    ("k", "w"),
+    frozenset({("w", "k"), ("k", "w")}),
+    frozenset({("w", "w"), ("k", "k")}),
+)
+
+
+def _rows_first(enc, m):
+    """The encoding with y's m factors first, as solve-tiling searches it."""
+    return PhpInstance(enc.factors[m:] + enc.factors[:m], enc.target)
 
 
 def test_bits_examples():
@@ -79,7 +94,7 @@ def test_brute_force_checkerboard():
     a = brute_force_tiling(inst)
     assert a is not None
     assert check_tiling(a, inst)
-    assert a[(0, 0)] == "w" and a[(1, 0)] == "k"
+    assert a == [["w", "k"], ["k", "w"]]
 
 
 def test_brute_force_guard():
@@ -169,10 +184,55 @@ def test_exact_mode_equivalence_m1():
 def test_decode_checkerboard():
     inst = TilingInstance(CHECKER, ("w",))
     enc = encode_tiling_php(inst)
-    v = decide_php(enc)
+    v = decide_php(_rows_first(enc, 1))
     assert v.yes
     decoded = decode_hom_to_tiling(v.witness, inst)
     assert check_tiling(decoded, inst)
+
+
+def test_decode_reads_row_y_off_ranks_y_times_2_to_the_m_on():
+    # vertical stripes: decoding by the wrong coordinate order would print
+    # horizontal ones, which check_tiling refuses
+    inst = TilingInstance(STRIPES, ("w", "k"))
+    v = decide_php(_rows_first(encode_tiling_php(inst), 2), range(16))
+    rows = decode_hom_to_tiling(v.witness, inst)
+    assert rows == [["w", "k", "w", "k"]] * 4 == brute_force_tiling(inst)
+    assert check_tiling(rows, inst)
+    assert not check_tiling([list(column) for column in zip(*rows)], inst)
+
+
+def _as_assignment(rows):
+    return {(x, y): tile for y, row in enumerate(rows) for x, tile in enumerate(row)}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_check_tiling_agrees_with_the_coordinate_check(data):
+    # a random grid is valid for the pairs it uses; then a wrong prefix, one
+    # bad horizontal pair, one bad vertical pair and a short row each break it
+    m = data.draw(st.integers(1, 3))
+    n = 2**m
+    tiles = ("a", "b", "c")[: data.draw(st.integers(1, 3))]
+    rows = [[data.draw(st.sampled_from(tiles)) for _ in range(n)] for _ in range(n)]
+    h = frozenset(p for row in rows for p in zip(row, row[1:]))
+    v = frozenset(p for below, above in zip(rows, rows[1:]) for p in zip(below, above))
+    inst = TilingInstance(TileSystem(tiles, h, v), rows[0][:m])
+    x, y = data.draw(st.integers(0, n - 2)), data.draw(st.integers(0, n - 2))
+    cases = [
+        (rows, inst, True),
+        (rows, TilingInstance(TileSystem(tiles, h - {(rows[y][x], rows[y][x + 1])}, v),
+                              inst.prefix), False),
+        (rows, TilingInstance(TileSystem(tiles, h, v - {(rows[y][x], rows[y + 1][x])}),
+                              inst.prefix), False),
+        ([*rows[:y], rows[y][:-1], *rows[y + 1 :]], inst, False),
+    ]
+    k = data.draw(st.integers(0, m - 1))
+    for other in set(tiles) - {inst.prefix[k]}:
+        prefix = inst.prefix[:k] + (other,) + inst.prefix[k + 1 :]
+        cases.append((rows, TilingInstance(inst.system, prefix), False))
+    for grid, instance, valid in cases:
+        assert check_tiling(grid, instance) is valid
+        assert check_tiling_by_coordinates(_as_assignment(grid), instance) is valid
 
 
 def test_binarized_encoding_same_verdict():
@@ -323,12 +383,15 @@ def test_solve_tiling_memory_at_m6(capsys, tmp_path):
 
 def test_cell_rank_is_the_product_rank_of_its_bits():
     # cell (x, y) is the product element of the bits of x then y, so its rank
-    # is x * 2^m + y; P_k pins those bits of cell (k-1, 0) factor by factor
+    # is x * 2^m + y; with y's factors first, as solve-tiling searches, it is
+    # y * 2^m + x; P_k pins the bits of cell (k-1, 0) factor by factor
     for m in range(1, 5):
         enc = encode_tiling_php(TilingInstance(FREE, ("t",) * m))
-        prod = product(enc.factors)
+        prod, rows_first = product(enc.factors), product(_rows_first(enc, m).factors)
         for x, y in itertools.product(range(2**m), repeat=2):
-            assert prod.rank[coordinate_element(x, y, m)] == x << m | y
+            cell = coordinate_element(x, y, m)
+            assert prod.rank[cell] == x << m | y
+            assert rows_first.rank[cell[m:] + cell[:m]] == y << m | x
         for k in range(1, m + 1):
             pin = coordinate_element(k - 1, 0, m)
             assert [f.relation(f"P{k}") for f in enc.factors] == [((b,),) for b in pin]
@@ -337,9 +400,8 @@ def test_cell_rank_is_the_product_rank_of_its_bits():
 def test_decode_reads_only_a_search_witness():
     # a map that is not the search's value list over the 4^m cells is refused
     inst = TilingInstance(CHECKER, ("w",))
-    witness = decide_php(encode_tiling_php(inst)).witness
-    grid = {(0, 0): "w", (1, 0): "k", (0, 1): "k", (1, 1): "w"}
-    assert decode_hom_to_tiling(witness, inst) == grid
+    witness = decide_php(_rows_first(encode_tiling_php(inst), 1)).witness
+    assert decode_hom_to_tiling(witness, inst) == [["w", "k"], ["k", "w"]]
     for hom, other in ((Homomorphism(dict(witness.mapping)), inst),
                        (witness, TilingInstance(CHECKER, ("w", "k")))):
         with pytest.raises(CertificateError):
@@ -357,9 +419,12 @@ def _solve_tiling(capsys, system, prefix):
     code = cli.main(["solve-tiling", "--system", str(system), "--prefix", *prefix])
     payload = json.loads(capsys.readouterr().out)
     if "tiling" in payload:
-        payload["tiling"] = {
-            tuple(map(int, cell.split(","))): t for cell, t in payload["tiling"].items()
-        }
+        n = 2 ** len(prefix)
+        rows = [[None] * n for _ in range(n)]
+        for cell, t in payload["tiling"].items():
+            x, y = map(int, cell.split(","))
+            rows[y][x] = t
+        payload["tiling"] = rows
     return code, payload
 
 
@@ -404,7 +469,7 @@ def test_solve_tiling_checkerboard_past_brute_force(m, tmp_path, capsys):
     grid = payload["tiling"]
     assert check_tiling(grid, TilingInstance(CHECKER, prefix))
     n = 2**m
-    assert grid == {(x, y): "wk"[(x + y) % 2] for x in range(n) for y in range(n)}
+    assert grid == [["wk"[(x + y) % 2] for x in range(n)] for y in range(n)]
 
 
 def test_solve_tiling_guard_fires_before_encoding(tmp_path, capsys, monkeypatch):
@@ -468,6 +533,21 @@ def test_solve_tiling_builds_one_product_and_encodes_once(tmp_path, capsys, monk
     assert _solve_tiling(capsys, _checker_file(tmp_path), ["w", "k", "w"])[0] == 0
     assert products == [64]
     assert len(encodings) == 1
+
+
+def test_solve_tiling_searches_every_cell_as_a_range(tmp_path, capsys, monkeypatch):
+    # row-major order is rank order, so no list of the 4^m cells is built
+    prefixes = []
+    decide = cli.decide_php
+
+    def spy(inst, prefix=()):
+        prefixes.append(prefix)
+        return decide(inst, prefix)
+
+    monkeypatch.setattr(cli, "decide_php", spy)
+    assert _solve_tiling(capsys, _checker_file(tmp_path), ["w", "k"])[0] == 0
+    assert len(prefixes) == 1 and type(prefixes[0]) is range
+    assert prefixes[0] == range(16)
 
 
 def test_solve_tiling_rejects_an_empty_witness(tmp_path, capsys, monkeypatch):
