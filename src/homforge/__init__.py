@@ -40,8 +40,6 @@ from .homsolver import (
 from .normalform import (
     digraph_transform,
     gadget_digraph,
-    lift_hom_digraph,
-    lift_hom_star,
     merge_relations,
     pad_first_coordinate,
     restrict_hom_digraph,

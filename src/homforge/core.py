@@ -14,12 +14,10 @@ only stored form of a relation: relation(name) reads its element tuples off
 them on each call.  Other modules read rank and rows rather than sorting
 elements or building their own index maps.
 
-Structure._canonical is the one way around that work, for output that is
-canonical by construction; product is its only caller.  It sorts, ranks and
-checks nothing, so its caller guarantees the invariants the checking
-constructor would establish: the domain is in element_key order without
-duplicates, and for every relation of the signature rows[name] lists
-distinct rank tuples of the relation's arity in ascending order.  Every
+product is the one way around that work.  Its domain, a ProductDomain, is
+in element_key order without duplicates, and its rows, a _ProductRows,
+list each relation's distinct rank tuples in ascending order, so product
+sets a Structure's fields itself and sorts, ranks and checks nothing.  Every
 other builder, and every file read, goes through the checking constructor.
 
 A product is not materialized.  Its domain is a ProductDomain, which reads
@@ -212,22 +210,6 @@ class Structure(Record):
         # the instance is frozen, so its fields are set past __setattr__
         vars(self).update(signature=signature, domain=dom, rows=rows, rank=rank)
 
-    @classmethod
-    def _canonical(cls, signature, domain, rows):
-        """A Structure from canonical parts, taken as they are (see the module docstring).
-
-        A product passes its ProductDomain and rows None: its rank is the
-        domain's, and its rows a _ProductRows, which sorts a relation's rows
-        when they are first read.
-        """
-        s = object.__new__(cls)
-        if rows is None:
-            rows, rank = _ProductRows(signature, domain), domain.rank
-        else:
-            rank = dict(zip(domain, range(len(domain))))
-        vars(s).update(signature=signature, domain=domain, rows=rows, rank=rank)
-        return s
-
     def relation(self, name):
         """The tuples of a relation as element tuples, in canonical order."""
         cols = zip(*self.rows[name])
@@ -239,11 +221,12 @@ class Structure(Record):
 
         That order is canonical, except in a product, whose columns are
         computed from the factors' columns in their combination order, so
-        its rows need not be built or sorted.
+        its rows need not be built or sorted.  A relation with no tuples has
+        no columns, whatever its arity.
         """
         if isinstance(self.domain, ProductDomain):
             return self.domain.columns(name, self.signature.arity(name))
-        return list(zip(*self.rows[name])) or [()] * self.signature.arity(name)
+        return list(zip(*self.rows[name]))
 
     def tuple_count(self, name=None):
         """The number of tuples of relation name, or of all relations when name is None."""
@@ -329,13 +312,6 @@ class Homomorphism(Record):
         for t, r in combinations(factors[: len(factors) // 2]):
             prefix, base = "[" + t, r * len(inner)
             yield [prefix + s for s in suffixes], [targets[images[base + o]] for _, o in inner]
-
-    def is_valid(self, source, target):
-        try:
-            self.validate(source, target)
-        except NotAHomomorphismError:
-            return False
-        return True
 
     def validate(self, source, target):
         """Raise NotAHomomorphismError describing the first violation found.
@@ -486,8 +462,10 @@ class ProductDomain:
         That rank is the mixed-radix number over the factor tuples' ranks at
         p, extended one factor at a time by Horner's rule; every position is
         listed in one shared combination order.  Distinct combinations give
-        distinct tuples.
+        distinct tuples.  A relation with no tuples has no columns.
         """
+        if not self.counts[name]:
+            return []
         cols = [[0]] * arity
         for f, size in zip(self.factors, self.sizes):
             fcols = f.columns(name)
@@ -572,7 +550,11 @@ def product(factors):
     elements = len(domain)
     tuples = sum(domain.counts.values())
     check_guard(elements + tuples, f"product would have {elements} elements and {tuples} tuples")
-    return Structure._canonical(sig, domain, None)
+    # canonical by construction: rank is the domain's, and the rows a
+    # _ProductRows, which sorts a relation's rows when they are first read
+    s = object.__new__(Structure)
+    vars(s).update(signature=sig, domain=domain, rows=_ProductRows(sig, domain), rank=domain.rank)
+    return s
 
 
 # --- JSON file format -------------------------------------------------------

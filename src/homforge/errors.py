@@ -30,7 +30,7 @@ class CertificateError(HomforgeError):
 
 
 class NotAHomomorphismError(CertificateError):
-    """A witness map, or a map handed to a lift/restrict operation, fails validation."""
+    """A witness map, or a map handed to restrict_hom_digraph, fails validation."""
 
 
 class UnsafeQueryError(HomforgeError):

@@ -1,12 +1,13 @@
-"""Reductions to few relations and to digraphs, with explicit homomorphism lifts.
+"""Reductions to few relations and to digraphs.
 
 Two instance-level pipelines live here: the star/merge transform collapsing
 any signature into a single relation (adding one fresh zero element per
 structure), and the digraph transform encoding a single-relation instance as
 digraphs built from per-tuple chain gadgets, with sink chains on the target
-side.  Both directions of the digraph correspondence are constructive:
-lift_hom_digraph builds the transformed witness from an original one, and
-restrict_hom_digraph reads an original witness back off a transformed one.
+side.  restrict_hom_digraph reads an original witness back off a
+transformed one.  The maps of the other direction, which the paper's proofs
+build from an original witness, are test references (tests/paper_objects.py):
+no command runs them.
 """
 
 from .core import (
@@ -84,21 +85,6 @@ def single_relation_transform(inst):
     return PhpInstance(tuple(convert(f) for f in inst.factors), convert(inst.target))
 
 
-def lift_hom_star(hom, inst):
-    """Extend a PHP witness to the starred instance.
-
-    Zero-free product elements keep their image; every element with a zero
-    component is sent to the fresh zero.  The same mapping also validates for
-    the merged (single-relation) instance, whose domains are unchanged.
-    """
-    elements = product([star_transform(f) for f in inst.factors]).domain
-    hom.validate(product(inst.factors), inst.target)
-    mapping = {}
-    for e in elements:
-        mapping[e] = ZERO if ZERO in e else hom.mapping[e]
-    return Homomorphism(mapping)
-
-
 def _single_relation(s):
     rels = s.signature.relations
     if len(rels) != 1:
@@ -151,24 +137,23 @@ def is_base(v):
     return isinstance(v, tuple) and len(v) == 2 and v[0] == "elem"
 
 
-def is_tuple_node(v):
-    return isinstance(v, tuple) and len(v) == 3 and v[0] == "tup"
-
-
-def node_index(v):
-    return int(v[2]) if is_tuple_node(v) else int(v[1])
-
-
 def gadget_digraph(s, with_sinks=False):
     """Digraph encoding of a single-relation structure.
 
     Per tuple t of the r-ary relation: chain nodes t^1..t^r with edges
     t^j -> t^{j+1} and t[j] -> t^j.  With sinks: a chain s^1..s^{r-1} plus an
-    edge from every base element to every sink node.
+    edge from every base element to every sink node.  More elements and
+    tuples together than the size guard raise GuardExceededError before any
+    node is built.
     """
     name, r = _single_relation(s)
     if with_sinks and r < 2:
         raise InvalidStructureError("sink chain needs arity >= 2")
+    n, count = len(s.domain), len(s.rows[name])
+    size, tuples = n + r * count, (2 * r - 1) * count
+    if with_sinks:
+        size, tuples = size + r - 1, tuples + r - 2 + n * (r - 1)
+    check_guard(size + tuples, f"gadget digraph would have {size} elements and {tuples} tuples")
     nodes = [base_node(x) for x in s.domain]
     edges = []
     for t in s.relation(name):
@@ -191,56 +176,6 @@ def digraph_transform(inst):
         tuple(gadget_digraph(f, with_sinks=False) for f in padded.factors),
         gadget_digraph(padded.target, with_sinks=True),
     )
-
-
-def lift_hom_digraph(hom, inst):
-    """Build a transformed-instance witness from an original-instance witness.
-
-    Padding is applied internally; the given map must validate for the padded
-    instance (its domains equal the original ones).  Product nodes are
-    classified into four types: all-base nodes follow the original map,
-    aligned all-chain nodes follow the image tuple's chain, misaligned
-    all-chain nodes go to the sink with the least index, and every remaining
-    node borrows the image of a base node chosen so that all its edges into
-    aligned chain nodes are preserved.
-    """
-    padded = pad_instance(inst)
-    gadgets = [gadget_digraph(f, with_sinks=False) for f in padded.factors]
-    elements = product(gadgets).domain
-    hom.validate(product(padded.factors), padded.target)
-    name, r = _single_relation(padded.target)
-
-    least_base = tuple(f.domain[0] for f in padded.factors) if all(
-        f.domain for f in padded.factors
-    ) else None
-
-    def image_tuple(tuples):
-        # componentwise image of the product tuple assembled from factor tuples
-        return tuple(hom.mapping[tuple(t[p] for t in tuples)] for p in range(r))
-
-    mapping = {}
-    for v in elements:
-        if all(is_base(c) for c in v):
-            mapping[v] = base_node(hom.mapping[tuple(c[1] for c in v)])
-        elif all(is_tuple_node(c) for c in v):
-            indices = {node_index(c) for c in v}
-            if len(indices) == 1:
-                j = indices.pop()
-                mapping[v] = tuple_node(image_tuple([c[1] for c in v]), j)
-            else:
-                mapping[v] = sink_node(min(indices))
-        else:
-            # type 4: mixed base/chain components
-            indices = {node_index(c) for c in v if is_tuple_node(c)}
-            if len(indices) > 1 or r in indices:
-                u = least_base
-            else:
-                j = indices.pop()
-                u = tuple(
-                    c[1] if is_base(c) else c[1][j] for c in v
-                )  # t[j+1], 1-based
-            mapping[v] = base_node(hom.mapping[u])
-    return Homomorphism(mapping)
 
 
 def restrict_hom_digraph(hom, inst):

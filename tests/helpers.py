@@ -1,4 +1,4 @@
-"""Shared test utilities: random structure corpora and the exhaustive oracle.
+"""Shared test utilities: random structure corpora, the exhaustive oracle and a peak-memory runner.
 
 The oracle enumerates every |target|^|source| map directly from the
 definition and never touches the backtracking solver, so solver tests check
@@ -7,6 +7,8 @@ against an independent implementation.
 
 import itertools
 import random
+import subprocess
+import sys
 
 from homforge.core import PhpInstance, Signature, Structure
 
@@ -133,3 +135,25 @@ def random_single_relation_instance(rng, max_arity=2, max_dom=3, max_factors=2):
     return random_php_instance(
         rng, sig, n_factors=n, max_dom=dom, nonempty_relations=True
     )
+
+
+# runs one command with its stdout written to a file, and prints its exit
+# code and the peak RSS (KB on Linux) of its process alone
+_PEAK = """
+import resource, subprocess, sys
+with open(sys.argv[1], "wb") as out:
+    code = subprocess.run(sys.argv[2:], stdout=out).returncode
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def peak_cli(out, *args):
+    """Run `python -m homforge.cli *args` in a fresh process, its stdout written to out.
+
+    Returns its exit code and the peak RSS of that process alone in MB, as
+    ru_maxrss gives it on Linux.
+    """
+    cmd = [sys.executable, "-c", _PEAK, str(out), sys.executable, "-m", "homforge.cli", *args]
+    result = subprocess.run(cmd, capture_output=True, text=True, check=True)
+    code, peak_kb = map(int, result.stdout.split())
+    return code, peak_kb / 1024

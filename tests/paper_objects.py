@@ -6,17 +6,31 @@ before the merge; the apex audit of the PHP -> non-definability reduction;
 the bits of a grid coordinate, the product element of a grid cell, the
 grid a map of those elements assigns, the tiling check over a grid keyed
 by (x, y), which tiling.check_tiling over rows replaced, and the successor
-relations of the tiling grid; and the full-prefix search, which lists every
-homomorphism.
+relations of the tiling grid; the full-prefix search, which lists every
+homomorphism; and the witness lifts of the paper's proofs, which extend a
+PHP witness to the starred instance (lift_hom_star) and to the digraph
+instance (lift_hom_digraph, with the chain-node readers is_tuple_node and
+node_index).
 """
 
 import itertools
 
-from homforge.core import Homomorphism, PhpInstance, Signature, Structure
+from homforge.core import Homomorphism, PhpInstance, Signature, Structure, product
 from homforge.cq import ConjunctiveQuery
 from homforge.errors import InvalidStructureError
 from homforge.homsolver import _Csp
-from homforge.normalform import out_path_lengths, star_transform
+from homforge.normalform import (
+    ZERO,
+    _single_relation,
+    base_node,
+    gadget_digraph,
+    is_base,
+    out_path_lengths,
+    pad_instance,
+    sink_node,
+    star_transform,
+    tuple_node,
+)
 
 
 def projection(product_structure, i):
@@ -145,3 +159,76 @@ def enumerate_homomorphisms(source, target):
     csp = _Csp(source, target)
     for value in csp.search(range(len(source.domain))):
         yield csp.homomorphism(value)
+
+
+def lift_hom_star(hom, inst):
+    """Extend a PHP witness to the starred instance.
+
+    Zero-free product elements keep their image; every element with a zero
+    component is sent to the fresh zero.  The same mapping also validates for
+    the merged (single-relation) instance, whose domains are unchanged.
+    """
+    elements = product([star_transform(f) for f in inst.factors]).domain
+    hom.validate(product(inst.factors), inst.target)
+    mapping = {}
+    for e in elements:
+        mapping[e] = ZERO if ZERO in e else hom.mapping[e]
+    return Homomorphism(mapping)
+
+
+def is_tuple_node(v):
+    return isinstance(v, tuple) and len(v) == 3 and v[0] == "tup"
+
+
+def node_index(v):
+    return int(v[2]) if is_tuple_node(v) else int(v[1])
+
+
+def lift_hom_digraph(hom, inst):
+    """Build a transformed-instance witness from an original-instance witness.
+
+    Padding is applied internally; the given map must validate for the padded
+    instance (its domains equal the original ones).  Product nodes are
+    classified into four types: all-base nodes follow the original map,
+    aligned all-chain nodes follow the image tuple's chain, misaligned
+    all-chain nodes go to the sink with the least index, and every remaining
+    node borrows the image of a base node chosen so that all its edges into
+    aligned chain nodes are preserved.
+    """
+    padded = pad_instance(inst)
+    gadgets = [gadget_digraph(f, with_sinks=False) for f in padded.factors]
+    elements = product(gadgets).domain
+    hom.validate(product(padded.factors), padded.target)
+    name, r = _single_relation(padded.target)
+
+    least_base = tuple(f.domain[0] for f in padded.factors) if all(
+        f.domain for f in padded.factors
+    ) else None
+
+    def image_tuple(tuples):
+        # componentwise image of the product tuple assembled from factor tuples
+        return tuple(hom.mapping[tuple(t[p] for t in tuples)] for p in range(r))
+
+    mapping = {}
+    for v in elements:
+        if all(is_base(c) for c in v):
+            mapping[v] = base_node(hom.mapping[tuple(c[1] for c in v)])
+        elif all(is_tuple_node(c) for c in v):
+            indices = {node_index(c) for c in v}
+            if len(indices) == 1:
+                j = indices.pop()
+                mapping[v] = tuple_node(image_tuple([c[1] for c in v]), j)
+            else:
+                mapping[v] = sink_node(min(indices))
+        else:
+            # type 4: mixed base/chain components
+            indices = {node_index(c) for c in v if is_tuple_node(c)}
+            if len(indices) > 1 or r in indices:
+                u = least_base
+            else:
+                j = indices.pop()
+                u = tuple(
+                    c[1] if is_base(c) else c[1][j] for c in v
+                )  # t[j+1], 1-based
+            mapping[v] = base_node(hom.mapping[u])
+    return Homomorphism(mapping)

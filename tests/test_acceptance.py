@@ -29,8 +29,6 @@ from homforge.cqdef import (
 from homforge.homsolver import decide_php, find_homomorphism
 from homforge.normalform import (
     digraph_transform,
-    lift_hom_digraph,
-    lift_hom_star,
     max_path_length,
     pad_first_coordinate,
     restrict_hom_digraph,
@@ -44,7 +42,14 @@ from homforge.tiling import (
 )
 
 import helpers
-from paper_objects import audit_apex_paths, projection, star_instance, successor_relations
+from paper_objects import (
+    audit_apex_paths,
+    lift_hom_digraph,
+    lift_hom_star,
+    projection,
+    star_instance,
+    successor_relations,
+)
 
 
 def report(number, title, ok):
@@ -83,11 +88,8 @@ def test_criterion_2_product_correctness():
             ok = False
             break
         for i, f in enumerate(factors):
-            if not projection(p, i).is_valid(p, f):
-                ok = False
-                break
-        if not ok:
-            break
+            # raises NotAHomomorphismError naming the first violation
+            projection(p, i).validate(p, f)
     report(2, "product correctness", ok)
 
 
@@ -159,12 +161,9 @@ def test_criterion_5_star_merge_preservation():
         if verdict.yes:
             lifted = lift_hom_star(verdict.witness, inst)
             si = star_instance(inst)
-            if not lifted.is_valid(product(si.factors), si.target):
-                ok = False
-                break
-            if not lifted.is_valid(product(transformed.factors), transformed.target):
-                ok = False
-                break
+            # each raises NotAHomomorphismError naming the first violation
+            lifted.validate(product(si.factors), si.target)
+            lifted.validate(product(transformed.factors), transformed.target)
     report(5, "star+merge preservation and lift validity", ok)
 
 
@@ -191,16 +190,13 @@ def test_criterion_6_digraph_preservation():
             break
         if verdict.yes:
             lifted = lift_hom_digraph(verdict.witness, inst)
-            if not lifted.is_valid(product(transformed.factors), transformed.target):
-                ok = False
-                break
+            # each raises NotAHomomorphismError naming the first violation
+            lifted.validate(product(transformed.factors), transformed.target)
             back = restrict_hom_digraph(lifted, inst)
             if back.mapping != verdict.witness.mapping:
                 ok = False
                 break
-            if not back.is_valid(product(padded.factors), padded.target):
-                ok = False
-                break
+            back.validate(product(padded.factors), padded.target)
     report(6, "digraph preservation, lifts, and round trip", ok)
 
 
@@ -216,7 +212,7 @@ def test_criterion_7_cqdef_certificates():
     ok &= isinstance(v3, NotDefinable) and v3.witness_tuple == ("b",)
     if isinstance(v3, NotDefinable):
         square = product([path, path])
-        ok &= v3.witness_hom.is_valid(square, path)
+        v3.witness_hom.validate(square, path)
         ok &= v3.witness_hom.mapping[("a", "c")] == "b"
     report(7, "CQ-definability certificates", ok)
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -19,6 +20,8 @@ from homforge.core import (
 )
 from homforge.cqdef import NotDefinable
 from homforge.errors import CertificateError
+
+import helpers
 
 
 def run_cli(*args, env=None):
@@ -197,19 +200,86 @@ def test_reduce_steps_guard_their_quadratic_relations(tmp_path, monkeypatch, cap
 def test_reduce_steps_guard_elements_plus_tuples(tmp_path, monkeypatch, capsys):
     # the 40-cycle again: a guard of each step's tuple count alone admits
     # its tuples but not its elements with them, and exits 3 before any
-    # file is written; a guard of exactly both together passes
+    # file is written; a guard of exactly both together passes that check,
+    # and reduce digraph then stops at its first gadget digraph (see below)
     nodes = [f"v{i}" for i in range(40)]
     cycle = tmp_path / "cycle.json"
     save_structure(digraph(nodes, zip(nodes, nodes[1:] + nodes[:1])), cycle)
-    for step, tuples, size in (("single-rel", 1640, 41), ("digraph", 1600, 40)):
+    gadget = "gadget digraph would have 4840 elements and 8000 tuples (guard 1640)"
+    for step, tuples, size, then in (
+        ("single-rel", 1640, 41, None),
+        ("digraph", 1600, 40, gadget),
+    ):
         argv = ["reduce", step, str(cycle), "--target", str(cycle)]
         monkeypatch.setenv("HOMFORGE_GUARD", str(tuples))
         assert cli.main([*argv, "--out-dir", str(tmp_path / "guarded")]) == 3
         assert f"would have {size} elements and {tuples} tuples" in capsys.readouterr().out
         assert not (tmp_path / "guarded").exists()
         monkeypatch.setenv("HOMFORGE_GUARD", str(size + tuples))
-        assert cli.main([*argv, "--out-dir", str(tmp_path / step)]) == 0
-        assert len(json.loads(capsys.readouterr().out)["files"]) == 2
+        code = cli.main([*argv, "--out-dir", str(tmp_path / step)])
+        payload = json.loads(capsys.readouterr().out)
+        if then is None:
+            assert code == 0 and len(payload["files"]) == 2
+        else:
+            assert code == 3 and payload == {"error": then}
+
+
+def test_reduce_digraph_guards_each_gadget_digraph(tmp_path, monkeypatch, capsys):
+    # the 40-cycle padded has 40 elements and 1600 triples: each factor's
+    # gadget digraph has 40 + 3 * 1600 nodes and (2 * 3 - 1) * 1600 edges,
+    # 12840 in all, and the target's adds 2 sink nodes and 1 + 40 * 2 sink
+    # edges, 12923 in all; each is checked before any node is built
+    nodes = [f"v{i}" for i in range(40)]
+    cycle = tmp_path / "cycle.json"
+    save_structure(digraph(nodes, zip(nodes, nodes[1:] + nodes[:1])), cycle)
+    argv = ["reduce", "digraph", str(cycle), "--target", str(cycle)]
+    for guard, size, tuples in ((12839, 4840, 8000), (12922, 4842, 8081)):
+        monkeypatch.setenv("HOMFORGE_GUARD", str(guard))
+        assert cli.main([*argv, "--out-dir", str(tmp_path / "guarded")]) == 3
+        error = f"gadget digraph would have {size} elements and {tuples} tuples (guard {guard})"
+        assert json.loads(capsys.readouterr().out) == {"error": error}
+        assert not (tmp_path / "guarded").exists()
+    monkeypatch.setenv("HOMFORGE_GUARD", "12923")
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "out")]) == 0
+    out = load_structure(tmp_path / "out" / "target.json")
+    assert (len(out.domain), out.tuple_count()) == (4842, 8081)
+
+
+# sha256 of the files `reduce digraph` writes for the 30-element shape below
+# into itself, recorded before the gadget digraph step had a guard check
+WIDE_DIGRAPH_SHA256 = {
+    "factor_1.json": "7ff7067cef270bb1070e9689192336a7a41aa4aefc5f40a4eb30a4c0f98a510a",
+    "target.json": "bd2fd9b9fd4171b0d0823c9f068338959e60ad749a457d84730ec69f0091904c",
+}
+
+
+def test_reduce_digraph_guards_the_gadget_when_the_pad_fits(tmp_path):
+    # 30 elements, the 30 cyclic shifts of (v0, ..., v29): the pad has 30
+    # elements and 900 tuples, within a guard of 1000, but the factor's
+    # gadget digraph has 30 + 31 * 900 nodes and 61 * 900 edges; under the
+    # default guard the files are byte for byte what they were (fresh
+    # processes, so the ~280 MB the reduction peaks at is not kept here)
+    nodes = [f"v{i}" for i in range(30)]
+    rows = [[nodes[(i + j) % 30] for j in range(30)] for i in range(30)]
+    wide = tmp_path / "wide.json"
+    relations = {"R": {"arity": 30, "tuples": rows}}
+    wide.write_text(json.dumps({"domain": nodes, "relations": relations}))
+    argv = ["reduce", "digraph", str(wide), "--target", str(wide), "--out-dir"]
+    env = dict(os.environ, HOMFORGE_GUARD="1000")
+    r = run_cli(*argv, str(tmp_path / "guarded"), env=env)
+    assert r.returncode == 3
+    error = "gadget digraph would have 27930 elements and 54900 tuples (guard 1000)"
+    assert json.loads(r.stdout) == {"error": error}
+    assert not (tmp_path / "guarded").exists()
+    env.pop("HOMFORGE_GUARD")
+    r = run_cli(*argv, str(tmp_path / "out"), env=env)
+    assert r.returncode == 0
+    assert len(json.loads(r.stdout)["files"]) == 2
+    digests = {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in WIDE_DIGRAPH_SHA256
+    }
+    assert digests == WIDE_DIGRAPH_SHA256
 
 
 def test_every_size_check_sees_the_guard(files, monkeypatch, capsys):
@@ -477,13 +547,13 @@ def test_solve_tiling_invalid_tiling_exits_4(tmp_path, monkeypatch, capsys, corr
 def _spy_products(monkeypatch):
     """The domain size of every product built from here on, in order."""
     sizes = []
-    canonical = core.Structure._canonical
+    init = core.ProductDomain.__init__
 
-    def build(cls, signature, domain, rows):
+    def build(domain, factors):
+        init(domain, factors)
         sizes.append(len(domain))
-        return canonical(signature, domain, rows)
 
-    monkeypatch.setattr(core.Structure, "_canonical", classmethod(build))
+    monkeypatch.setattr(core.ProductDomain, "__init__", build)
     return sizes
 
 
@@ -541,6 +611,35 @@ def test_cqdef_check_builds_one_product(tmp_path, monkeypatch, capsys, s_rows, c
     else:
         assert payload["answer"] == "Definable"
     assert products == [size]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
+def test_an_empty_relation_costs_nothing_in_its_arity(tmp_path):
+    # one element and one relation of arity 10^6 with no tuples: a fresh
+    # process printed these bytes in 1.8-3.3 s at 99-244 MB peak while the
+    # witness check, the isolated-element scan and the product's rows walked
+    # an empty column per position, and in 0.1 s at 17 MB with no column at
+    # all (Python 3.11)
+    wide, s, prod = tmp_path / "wide.json", tmp_path / "s.json", tmp_path / "prod.json"
+    relations = {"E": {"arity": 10**6, "tuples": []}}
+    wide.write_text(json.dumps({"domain": ["v"], "relations": relations}))
+    s.write_text(json.dumps([["v"]]))
+    runs = {
+        ("check-hom", wide, "--target", wide, "--witness"):
+            (0, "45afa019770d42ecc55a098d0942da02105b1fff959dfdde0f35b9a7366d2d32"),
+        ("cqdef", "check", wide, "--relation", s, "--witness"):
+            (1, "d7be9d665296a0cfb8a6e3e3e5c24841cc595a4cc73be7aa22287e43138e1e7f"),
+        # its stdout names the file it writes, whose bytes are checked below
+        ("product", wide, wide, "--out", prod): (0, None),
+    }
+    for args, (code, digest) in runs.items():
+        out = tmp_path / "out.json"
+        got, peak_mb = helpers.peak_cli(out, *map(str, args))
+        assert got == code and peak_mb < 40, (args[0], got, peak_mb)
+        if digest is not None:
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    digest = hashlib.sha256(prod.read_bytes()).hexdigest()
+    assert digest == "a389f0eca2156c85800d763a883d882c3b9ae6173cb1d3b40350eaa9ae87d39b"
 
 
 def test_product_output_reparses(files, tmp_path):

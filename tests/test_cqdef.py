@@ -76,6 +76,15 @@ def test_isolated_distinguished_element_is_not_definable():
     _check(edge, [("a", "a"), ("a", "b")], verdict)
 
 
+@pytest.mark.parametrize("position", [1, -1])
+def test_check_rejects_an_isolated_position_outside_s(position):
+    # S = {(a)} has one position, 0; the decider finds the isolated position
+    # itself, so its check is called directly
+    with pytest.raises(CertificateError) as caught:
+        _check(PATH3, [("a",)], NotDefinable(None, None, position))
+    assert str(caught.value) == f"isolated position {position} is not a position of S"
+
+
 def test_empty_s_rejected():
     with pytest.raises(InvalidStructureError):
         decide_cq_definability(PATH3, [])

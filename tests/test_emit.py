@@ -31,6 +31,8 @@ from homforge.core import (
     save_structure,
 )
 
+import helpers
+
 TRICKY = ["a", "a!", "a ", "", '"', "\\", "\\\\", 'a"b', "é", "☃", "😀", "[", "]", ",", "\x00"]
 
 atoms = st.sampled_from(TRICKY) | st.text(max_size=3)
@@ -149,15 +151,6 @@ def test_closed_stdout_with_a_witness_exits_2(edge_loop):
 
 NO_TUPLES_SHA256 = "bc0164bd3f27f6a895262c83a8e25daeee43af8c7dec40f17ff443966678f4ff"
 
-# runs one command and prints the peak RSS (KB on Linux) of its process alone
-PEAK = """
-import resource, subprocess, sys
-with open(sys.argv[1], "wb") as out:
-    subprocess.run(sys.argv[2:], stdout=out, check=True)
-print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
-"""
-
-
 def _no_tuple_run(tmp_path, target):
     """sha256 of the stdout and peak RSS in MB of a fresh check-hom --witness.
 
@@ -169,9 +162,9 @@ def _no_tuple_run(tmp_path, target):
     save_structure(Structure(SIG, [str(i) for i in range(10)], {}), ten)
     save_structure(target, to)
     argv = ["check-hom", *[str(ten)] * 5, "--target", str(to), "--witness"]
-    cmd = [sys.executable, "-c", PEAK, str(out), sys.executable, "-m", "homforge.cli", *argv]
-    peak_kb = int(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
-    return hashlib.sha256(out.read_bytes()).hexdigest(), peak_kb / 1024
+    code, peak_mb = helpers.peak_cli(out, *argv)
+    assert code == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest(), peak_mb
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")

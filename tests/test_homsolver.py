@@ -38,7 +38,7 @@ PATH3 = digraph(("a", "b", "c"), (("a", "b"), ("b", "c")))
 def test_identity_homomorphism_found():
     h = find_homomorphism(PATH3, PATH3)
     assert h is not None
-    assert h.is_valid(PATH3, PATH3)
+    h.validate(PATH3, PATH3)
 
 
 def test_path_into_self_loop():
@@ -344,7 +344,7 @@ def test_root_propagation_leaves_no_trail():
 def test_decide_php_identity():
     v = decide_php(PhpInstance((PATH3,), PATH3))
     assert v.yes
-    assert v.witness.is_valid(product([PATH3]), PATH3)
+    v.witness.validate(product([PATH3]), PATH3)
 
 
 def test_decide_php_two_edges_into_edgeless_vertex():
@@ -386,7 +386,7 @@ def test_product_witness_validates():
         inst = helpers.random_php_instance(rng, sig)
         v = decide_php(inst)
         if v.yes:
-            assert v.witness.is_valid(product(inst.factors), inst.target)
+            v.witness.validate(product(inst.factors), inst.target)
 
 
 def test_composition_of_valid_homs_validates():
@@ -401,7 +401,7 @@ def test_composition_of_valid_homs_validates():
         g = find_homomorphism(b, c)
         if h is None or g is None:
             continue
-        assert compose(g, h).is_valid(a, c)
+        compose(g, h).validate(a, c)
         done += 1
 
 
@@ -424,7 +424,8 @@ def test_search_deeper_than_default_recursion_limit():
     path = digraph(nodes, tuple(zip(nodes, nodes[1:])))
     two_cycle = digraph(("u", "w"), (("u", "w"), ("w", "u")))
     h = find_homomorphism(path, two_cycle)
-    assert h is not None and h.is_valid(path, two_cycle)
+    assert h is not None
+    h.validate(path, two_cycle)
     assert h.mapping[nodes[0]] == "u"
 
 

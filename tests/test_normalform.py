@@ -23,8 +23,6 @@ from homforge.normalform import (
     base_node,
     digraph_transform,
     gadget_digraph,
-    lift_hom_digraph,
-    lift_hom_star,
     max_path_length,
     merge_relations,
     out_path_lengths,
@@ -37,7 +35,13 @@ from homforge.normalform import (
 )
 
 import helpers
-from paper_objects import path_fan_query, projection, star_instance
+from paper_objects import (
+    lift_hom_digraph,
+    lift_hom_star,
+    path_fan_query,
+    projection,
+    star_instance,
+)
 
 
 TWO_REL_SIG = Signature((("R1", 1), ("R2", 2)))
@@ -119,7 +123,7 @@ def test_star_merge_ignores_declaration_order():
         answers.add(v.yes)
         if v.yes:
             lifted = lift_hom_star(v.witness, inst)
-            assert lifted.is_valid(product(merged.factors), merged.target)
+            lifted.validate(product(merged.factors), merged.target)
     assert answers == {True, False}
 
 
@@ -130,7 +134,7 @@ def test_lift_hom_star_identity_factor():
     lifted = lift_hom_star(v.witness, inst)
     si = star_instance(inst)
     prod = product(si.factors)
-    assert lifted.is_valid(prod, si.target)
+    lifted.validate(prod, si.target)
     # fresh element goes to zero, zero-free elements into P
     assert lifted.mapping[(ZERO,)] == ZERO
     p_targets = {t[0] for t in si.target.relation("P")}
@@ -149,9 +153,9 @@ def test_lift_hom_star_random_instances():
             continue
         lifted = lift_hom_star(v.witness, inst)
         si = star_instance(inst)
-        assert lifted.is_valid(product(si.factors), si.target)
+        lifted.validate(product(si.factors), si.target)
         merged = single_relation_transform(inst)
-        assert lifted.is_valid(product(merged.factors), merged.target)
+        lifted.validate(product(merged.factors), merged.target)
         done += 1
 
 
@@ -318,7 +322,7 @@ def test_lift_hom_digraph_types_and_round_trip():
             continue
         lifted = lift_hom_digraph(v.witness, inst)
         t = digraph_transform(inst)
-        assert lifted.is_valid(product(t.factors), t.target)
+        lifted.validate(product(t.factors), t.target)
         back = restrict_hom_digraph(lifted, inst)
         assert back.mapping == v.witness.mapping
         done += 1
@@ -365,8 +369,21 @@ def test_restrict_validates_against_padded_instance():
             tuple(pad_first_coordinate(f) for f in inst.factors),
             pad_first_coordinate(inst.target),
         )
-        assert back.is_valid(product(padded.factors), padded.target)
+        back.validate(product(padded.factors), padded.target)
         done += 1
+
+
+def test_restrict_rejects_a_base_element_sent_off_the_base():
+    # an empty unary relation pads to an empty binary one, so the factor's
+    # gadget digraph is one isolated base node, which a homomorphism of the
+    # digraphs may send to the target's sink; no padded witness reads off it
+    sig = Signature((("R", 1),))
+    inst = PhpInstance((Structure(sig, ("a",), {}),), Structure(sig, ("u",), {"R": (("u",),)}))
+    hom = Homomorphism({(base_node("a"),): sink_node(1)})
+    with pytest.raises(NotAHomomorphismError) as caught:
+        restrict_hom_digraph(hom, inst)
+    message = "base product element ('a',) maps to non-base node ('sink', '1')"
+    assert str(caught.value) == message
 
 
 def test_padded_tuples_satisfy_path_fan_query():

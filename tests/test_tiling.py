@@ -516,18 +516,18 @@ def test_solve_tiling_checks_its_witness_under_the_guard(tmp_path, capsys, monke
 def test_solve_tiling_builds_one_product_and_encodes_once(tmp_path, capsys, monkeypatch):
     # the witness is checked against the product the search ran on
     products, encodings = [], []
-    canonical = core.Structure._canonical
+    init = core.ProductDomain.__init__
     encode = tiling.encode_tiling_php
 
-    def build(cls, signature, domain, rows):
+    def build(domain, factors):
+        init(domain, factors)
         products.append(len(domain))
-        return canonical(signature, domain, rows)
 
     def spy(*args, **kwargs):
         encodings.append(args)
         return encode(*args, **kwargs)
 
-    monkeypatch.setattr(core.Structure, "_canonical", classmethod(build))
+    monkeypatch.setattr(core.ProductDomain, "__init__", build)
     for module in (cli, tiling):
         monkeypatch.setattr(module, "encode_tiling_php", spy)
     assert _solve_tiling(capsys, _checker_file(tmp_path), ["w", "k", "w"])[0] == 0
