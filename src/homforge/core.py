@@ -148,7 +148,11 @@ class Record:
 
 
 class Signature(Record):
-    """(relation name, arity) pairs, sorted by name; declaration order is not kept."""
+    """(relation name, arity) pairs, sorted by name; declaration order is not kept.
+
+    The name -> arity map is built once and kept beside the field, outside
+    eq, hash and repr.
+    """
 
     relations: tuple
 
@@ -161,12 +165,13 @@ class Signature(Record):
             if a < 1:
                 raise InvalidStructureError(f"arity of {n!r} must be >= 1, got {a}")
         object.__setattr__(self, "relations", tuple(sorted(rels)))
+        object.__setattr__(self, "_arity", dict(rels))
 
     def names(self):
         return [n for n, _ in self.relations]
 
     def arity(self, name):
-        return dict(self.relations)[name]
+        return self._arity[name]
 
 
 class Structure(Record):

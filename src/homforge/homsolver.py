@@ -12,9 +12,9 @@ and a solution is the search's list of values, which the witness keeps
 (Homomorphism._of_ranks).  A domain is a Python int used as a bitset over
 values.  No record is kept per binary constraint:
 
-- a unary scope, and a binary scope that repeats its variable (a loop),
-  narrows its variable's domain once, when the CSP is built; nothing undoes
-  that, so it never needs revising;
+- a scope of one distinct variable (unary, a loop, or a wider scope that
+  repeats one variable) narrows its domain once, when the CSP is built;
+  nothing undoes that, so it never needs revising;
 - any other binary scope (x, y) of a relation R puts (y, R forward) on x's
   neighbour list and (x, R backward) on y's.  A direction holds, per value,
   the bitset of the values R reaches from it, and the image of a domain is
@@ -22,23 +22,24 @@ values.  No record is kept per binary constraint:
   of x's domain intersects each neighbour's domain with the image of x's
   through that neighbour's direction (AC-3, Mackworth 1977, with a queue of
   variables);
-- a scope of arity 3 or more is a constraint on the _Table of its
-  relation, shared by all such constraints: for every (position, value)
-  the bitset of the rows holding that value there, and, once per repeat
-  pattern of its scopes, the mask of rows that agree on the repeated
-  positions and the first position of each distinct variable.  Such a
-  constraint is only (table, pattern id, getter of its scope's domains,
-  distinct variables), and _Table.revise is its one revision: it
-  intersects the rows each position's domain still supports and keeps the
+- any other scope of arity 3 or more is a constraint on its distinct
+  variables and on the _Table of its repeat pattern: the rows of its
+  relation that agree wherever the scope repeats a variable (every row when
+  none repeats), each variable read at its first position.  The tables of
+  a relation share its support, for every (position, value) the bitset of
+  the rows holding that value there, so a repeat pattern costs one bitset
+  of rows.  Such a constraint is only (table, getter of its variables'
+  domains, variables), and _Table.revise is its one revision: it
+  intersects the rows each variable's domain still supports and keeps the
   values that meet a live row, in the manner of Compact-Table
   (Demeulenaere et al., CP 2016).
 
 In a product thousands of scopes share one relation and meet the same
 domains, so both kinds of revision are memoized: each direction caches the
-image of a domain, and each table keeps a memo keyed on (pattern id, the
-scope's domains) that holds the revised domains, True when none narrows or
-False for a wipeout.  A cache or memo of MEMO_LIMIT entries is emptied
-before it takes another.
+image of a domain, and the tables of a relation share one memo keyed on
+(table, its variables' domains) that holds the revised domains, True when
+none narrows or False for a wipeout.  A cache or memo of MEMO_LIMIT
+entries is emptied before it takes another.
 
 There is one search, _Csp.search(prefix).  It propagates at the root, whose
 changes nothing undoes and so leave no trail.  A root that leaves every
@@ -74,7 +75,7 @@ from operator import itemgetter
 from .core import Homomorphism, Record, check_guard, product
 from .errors import SignatureMismatchError
 
-# entries an image cache or a table's memo holds before it is emptied
+# entries an image cache or a relation's table memo holds before it is emptied
 MEMO_LIMIT = 1 << 16
 
 
@@ -96,26 +97,17 @@ def _image(reach, d):
 
 
 class _Table:
-    """A target relation of arity 3 or more, shared by its constraints: revision data and memo."""
+    """A relation's rows that agree where a scope repeats a variable: revision data and memo."""
 
-    def __init__(self, rows, arity, n_values):
-        self.rows = rows
-        # support[p][val]: bitset of the rows with value val at position p
-        self.support = [[0] * n_values for _ in range(arity)]
-        for r, row in enumerate(rows):
-            bit = 1 << r
-            for p, val in enumerate(row):
-                self.support[p][val] |= bit
-        # per position, domain bitset -> (rows it supports, ((value bit, rows), ...))
-        self.cache = [{} for _ in range(arity)]
-        # repeat pattern (the first position of each position's variable) -> its id
-        self.pattern_ids = {tuple(range(arity)): 0}
-        # per pattern id: (the rows that agree wherever it repeats a variable,
-        # the first position of each distinct variable)
-        self.patterns = [((1 << len(rows)) - 1, tuple(range(arity)))]
-        # (pattern id, the scope's domains) -> the revised domains of its
-        # distinct variables, True when none narrows, False for a wipeout
-        self.memo = {}
+    def __init__(self, shared, live, positions):
+        # shared by the relation's tables: support[p][val], the bitset of the
+        # rows with value val at position p; per position, domain bitset ->
+        # (rows it supports, ((value bit, rows), ...)); (table, the domains of
+        # its variables) -> the revised domains, True when none narrows,
+        # False for a wipeout
+        self.support, self.cache, self.memo = shared
+        # the rows that agree, and the first position of each variable
+        self.live, self.positions = live, positions
 
     def entry(self, p, dom):
         """The cache entry of domain dom at position p, computed on first use."""
@@ -133,31 +125,18 @@ class _Table:
         entry = self.cache[p][dom] = (rows, tuple(pairs))
         return entry
 
-    def pattern(self, pattern):
-        """The id of a repeat pattern, recorded with its agreeing rows on first use."""
-        pid = self.pattern_ids.get(pattern)
-        if pid is None:
-            mask = 0
-            for r, row in enumerate(self.rows):
-                if all(row[p] == row[q] for p, q in enumerate(pattern)):
-                    mask |= 1 << r
-            pid = self.pattern_ids[pattern] = len(self.patterns)
-            self.patterns.append((mask, tuple(dict.fromkeys(pattern))))
-        return pid
-
-    def revise(self, pid, doms):
-        """A memo entry: the revision of a scope of pattern pid whose positions hold doms."""
-        live, firsts = self.patterns[pid]
+    def revise(self, doms):
+        """A memo entry: the revision of a scope whose distinct variables hold doms."""
         cache = self.cache
-        for p, d in enumerate(doms):
+        live = self.live
+        for p, d in zip(self.positions, doms):
             live &= (cache[p].get(d) or self.entry(p, d))[0]
             if not live:
                 return False
-        # every live row agrees on repeats, so a variable's first position suffices
         revised = []
         narrowed = False
-        for p in firsts:
-            d = doms[p]
+        # every live row agrees on repeats, so a variable's first position suffices
+        for p, d in zip(self.positions, doms):
             nd = 0
             for bit, s in cache[p][d][1]:
                 if live & s:
@@ -184,8 +163,8 @@ class _Csp:
         ids = None
         # per direction of a binary relation: (the values each value reaches, image cache)
         self.directions = []
-        # arity 3 and more: (table, repeat pattern id, getter of the scope's
-        # domains, the scope's distinct variables in order of first position)
+        # arity 3 and more: (table, getter of the domains of the scope's
+        # distinct variables, those variables in order of first position)
         self.cons = []
         # per variable, its table constraints; () until it has one
         self.var_cons = [()] * n
@@ -227,20 +206,46 @@ class _Csp:
                     else:
                         arcs[y] = [x, k + 1]
             else:
-                self._add_table(_Table(rows, arity, n_values), cols)
+                self._add_scopes(rows, cols, n_values)
         self.trail = []  # flat: variable, its domain before the change, ...
         self._queued = bytearray(n)
 
-    def _add_table(self, table, cols):
+    def _add_scopes(self, rows, cols, n_values):
+        """Add the scopes of a relation of arity 3 or more, each on its distinct variables."""
         arity = len(cols)
+        support = [[0] * n_values for _ in range(arity)]
+        for r, row in enumerate(rows):
+            bit = 1 << r
+            for p, val in enumerate(row):
+                support[p][val] |= bit
+        shared = (support, [{} for _ in range(arity)], {})
+        # per repeat pattern (None when no variable repeats): its _Table, or,
+        # for one variable, the values it allows
+        tables = {None: _Table(shared, (1 << len(rows)) - 1, tuple(range(arity)))}
         for scope in zip(*cols):
             if len(set(scope)) == arity:
-                pid, variables = 0, scope
+                pattern, variables = None, scope
             else:
-                pid = table.pattern(tuple(map(scope.index, scope)))
+                # the first position of each position's variable
+                pattern = tuple(map(scope.index, scope))
                 variables = tuple(dict.fromkeys(scope))
+            table = tables.get(pattern)
+            if table is None:
+                agree = [
+                    r for r, row in enumerate(rows)
+                    if all(row[p] == row[q] for p, q in enumerate(pattern))
+                ]
+                if len(variables) == 1:
+                    table = sum(1 << rows[r][0] for r in agree)
+                else:
+                    firsts = tuple(dict.fromkeys(pattern))
+                    table = _Table(shared, sum(1 << r for r in agree), firsts)
+                tables[pattern] = table
+            if len(variables) == 1:
+                self.dom[scope[0]] &= table
+                continue
             ci = len(self.cons)
-            self.cons.append((table, pid, itemgetter(*scope), variables))
+            self.cons.append((table, itemgetter(*variables), variables))
             for v in variables:
                 if not self.var_cons[v]:
                     self.var_cons[v] = []
@@ -293,14 +298,14 @@ class _Csp:
                 if e & image != e:
                     changed.append((y, e & image))
             for ci in var_cons[x]:
-                table, pid, doms, variables = cons[ci]
+                table, doms, variables = cons[ci]
                 memo = table.memo
-                key = (pid, doms(dom))
+                key = (table, doms(dom))
                 revised = memo.get(key)
                 if revised is None:
                     if len(memo) >= MEMO_LIMIT:
                         memo.clear()
-                    revised = memo[key] = table.revise(*key)
+                    revised = memo[key] = table.revise(key[1])
                 if revised is False:
                     changed.append((variables[0], 0))
                 elif revised is not True:

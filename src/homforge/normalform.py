@@ -38,6 +38,8 @@ def star_transform(s):
     R has arity sum of the old arities and contains the all-zeroes tuple plus,
     for each old tuple, its zero-padded embedding at the corresponding block.
     Blocks follow the canonical relation order, by name, in every structure.
+    More elements plus R's components (its tuples times its arity) than the
+    size guard raise GuardExceededError before any tuple is built.
     """
     if not s.signature.relations:
         raise InvalidStructureError("star transform needs at least one relation")
@@ -45,6 +47,11 @@ def star_transform(s):
         raise InvalidStructureError(f"domain already contains the reserved {ZERO!r}")
     arities = [a for _, a in s.signature.relations]
     total = sum(arities)
+    size, count = len(s.domain) + 1, s.tuple_count() + 1
+    check_guard(
+        size + count * total,
+        f"star structure would have {size} elements and {count} tuples of arity {total}",
+    )
     tuples = [(ZERO,) * total]
     offset = 0
     for (name, arity) in s.signature.relations:
@@ -144,7 +151,8 @@ def gadget_digraph(s, with_sinks=False):
     t^j -> t^{j+1} and t[j] -> t^j.  With sinks: a chain s^1..s^{r-1} plus an
     edge from every base element to every sink node.  More elements and
     tuples together than the size guard raise GuardExceededError before any
-    node is built.
+    node is built; so do more tuple components than the guard repeated in
+    node names, where each of a tuple's r chain nodes names the whole tuple.
     """
     name, r = _single_relation(s)
     if with_sinks and r < 2:
@@ -154,6 +162,8 @@ def gadget_digraph(s, with_sinks=False):
     if with_sinks:
         size, tuples = size + r - 1, tuples + r - 2 + n * (r - 1)
     check_guard(size + tuples, f"gadget digraph would have {size} elements and {tuples} tuples")
+    repeats = r * (r - 1) * count
+    check_guard(repeats, f"gadget digraph node names would repeat {repeats} tuple components")
     nodes = [base_node(x) for x in s.domain]
     edges = []
     for t in s.relation(name):

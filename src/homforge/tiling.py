@@ -17,7 +17,8 @@ superset of the successor pieces and is kept for study only.
 """
 
 from .core import (
-    PhpInstance, Record, Signature, Structure, _RankMap, load_json, string_list, string_rows
+    PhpInstance, Record, Signature, Structure, _RankMap, check_guard, load_json, string_list,
+    string_rows,
 )
 from .errors import CertificateError, GuardExceededError, InvalidStructureError
 
@@ -135,11 +136,22 @@ def encode_tiling_php(inst, mode="exact"):
 
     Factor ell holds bit ell of the horizontal coordinate (ell <= m) or bit
     ell-m of the vertical coordinate, most significant first.  P_k pins grid
-    position (k-1, 0) to the k-th prefix tile.
+    position (k-1, 0) to the k-th prefix tile.  More elements and tuples in
+    the factors and the target together than the size guard raise
+    GuardExceededError before any structure is built.
     """
     if mode not in MODES:
         raise InvalidStructureError(f"mode must be one of {MODES}")
     m = inst.m
+    sys = inst.system
+    # H_k and V_k each flip m - k + 1 bits, so m(m + 1) of the 4m^2 pieces
+    # (2m per factor) flip a bit and the others are the identity
+    flips = m * (m + 1)
+    flip = len(DIFF) if mode == "paper-literal" else len(S01)
+    size = 4 * m + len(sys.tiles)
+    tuples = flip * flips + len(ID) * (4 * m * m - flips) + 2 * m * m
+    tuples += m * (len(sys.hcompat) + len(sys.vcompat) + 1)
+    check_guard(size + tuples, f"tiling encoding would have {size} elements and {tuples} tuples")
     sig = tiling_signature(m)
     factors = []
     for ell in range(1, 2 * m + 1):
@@ -149,7 +161,6 @@ def encode_tiling_php(inst, mode="exact"):
             interp[f"V{k}"] = _piece(m + k, 2 * m, ell, mode)
             interp[f"P{k}"] = ((str(((k - 1) >> (m - ell)) & 1) if ell <= m else "0",),)
         factors.append(Structure(sig, ("0", "1"), interp))
-    sys = inst.system
     target_interp = {}
     for k in range(1, m + 1):
         target_interp[f"H{k}"] = tuple(sys.hcompat)

@@ -63,14 +63,14 @@ class ReferenceCsp(_Csp):
                 if e & image != e:
                     changed.append((y, e & image))
             for ci in var_cons[x]:
-                table, pid, doms, variables = cons[ci]
+                table, doms, variables = cons[ci]
                 memo = table.memo
-                key = (pid, doms(dom))
+                key = (table, doms(dom))
                 revised = memo.get(key)
                 if revised is None:
                     if len(memo) >= homsolver.MEMO_LIMIT:
                         memo.clear()
-                    revised = memo[key] = table.revise(*key)
+                    revised = memo[key] = table.revise(key[1])
                 if revised is False:
                     changed.append((variables[0], 0))
                 elif revised is not True:

@@ -6,6 +6,7 @@ import pkgutil
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -282,6 +283,137 @@ def test_reduce_digraph_guards_the_gadget_when_the_pad_fits(tmp_path):
     assert digests == WIDE_DIGRAPH_SHA256
 
 
+def test_each_guard_counts_exactly_what_its_step_writes(tmp_path, monkeypatch, capsys):
+    # the 40-cycle's star structure: 41 elements and 41 tuples of arity 2,
+    # 123 in all, then the merge (41 + 1640); 30 elements with their 30
+    # cyclic shifts, padded to arity 31: each chain node names its whole
+    # tuple, so the names repeat 31 * 30 * 900 = 837000 components; the
+    # checkerboard at m=4: 16 + 2 elements and 9 * 16 - 4 + 5 * 4 tuples,
+    # or 10 * 16 + 5 * 4 in paper-literal mode
+    nodes = [f"v{i}" for i in range(40)]
+    cycle = tmp_path / "cycle.json"
+    save_structure(digraph(nodes, zip(nodes, nodes[1:] + nodes[:1])), cycle)
+    nodes = nodes[:30]
+    rows = [[nodes[(i + j) % 30] for j in range(30)] for i in range(30)]
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"domain": nodes, "relations": {"R": {"arity": 30, "tuples": rows}}}))
+    system = tmp_path / "checker.json"
+    system.write_text(json.dumps(CHECKER))
+    cases = [
+        (("single-rel", cycle, "--target", cycle), 123,
+         "star structure would have 41 elements and 41 tuples of arity 2",
+         "merged structure would have 41 elements and 1640 tuples (guard 123)"),
+        (("digraph", wide, "--target", wide), 837000,
+         "gadget digraph node names would repeat 837000 tuple components", None),
+        (("tiling", "--system", system, "--prefix", *"wkwk"), 178,
+         "tiling encoding would have 18 elements and 160 tuples", None),
+        (("tiling", "--system", system, "--prefix", *"wkwk", "--mode", "paper-literal"), 198,
+         "tiling encoding would have 18 elements and 180 tuples", None),
+    ]
+    for args, count, error, then in cases:
+        argv = ["reduce", *map(str, args)]
+        monkeypatch.setenv("HOMFORGE_GUARD", str(count - 1))
+        assert cli.main([*argv, "--out-dir", str(tmp_path / "guarded")]) == 3
+        assert json.loads(capsys.readouterr().out) == {"error": f"{error} (guard {count - 1})"}
+        assert not (tmp_path / "guarded").exists()
+        if then is not None:
+            # past this check, the next one
+            monkeypatch.setenv("HOMFORGE_GUARD", str(count))
+            assert cli.main([*argv, "--out-dir", str(tmp_path / "guarded")]) == 3
+            assert json.loads(capsys.readouterr().out) == {"error": then}
+    # at exactly its count, reduce tiling writes that many elements and tuples
+    for i, (args, count, _, _) in enumerate(cases[2:]):
+        monkeypatch.setenv("HOMFORGE_GUARD", str(count))
+        assert cli.main(["reduce", *map(str, args), "--out-dir", str(tmp_path / f"cb4-{i}")]) == 0
+        written = [load_structure(f) for f in json.loads(capsys.readouterr().out)["files"]]
+        assert sum(len(s.domain) + s.tuple_count() for s in written) == count
+
+
+def _guard_cliffs(tmp_path):
+    """Three reduce calls whose output the default guard refuses before a file is written.
+
+    With no guard on the step, each exited 0 (Python 3.11): single-rel in
+    12.5 s and 1.33 GB, writing 337 MB; digraph in 46-55 s and 2.8 GB,
+    writing 875 MB; tiling at m=400 in 6.9 s and 171 MB, writing 125 MB.
+    """
+    star = tmp_path / "star.json"
+    relations = {f"R{i}": {"arity": 200, "tuples": [["v"] * 200]} for i in range(200)}
+    star.write_text(json.dumps({"domain": ["v"], "relations": relations}))
+    nodes = [f"v{i}" for i in range(60)]
+    rows = [[nodes[(i + j) % 60] for j in range(60)] for i in range(60)]
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"domain": nodes, "relations": {"R": {"arity": 60, "tuples": rows}}}))
+    system = tmp_path / "checker.json"
+    system.write_text(json.dumps(CHECKER))
+    prefix = ["w", "k"] * 166 + ["w"]
+    return {
+        ("single-rel", star, "--target", star):
+            "star structure would have 2 elements and 201 tuples of arity 40000",
+        ("digraph", wide, "--target", wide):
+            "gadget digraph node names would repeat 13176000 tuple components",
+        ("tiling", "--system", system, "--prefix", *prefix):
+            "tiling encoding would have 1334 elements and 999333 tuples",
+    }
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
+def test_reduce_refuses_each_cliff_before_writing(tmp_path):
+    # fresh processes under the default guard: reaching the check costs
+    # about 0.05 s and 18 MB
+    for args, error in _guard_cliffs(tmp_path).items():
+        out, out_dir = tmp_path / "out.json", tmp_path / "out"
+        start = time.perf_counter()
+        code, peak_mb = helpers.peak_cli(out, "reduce", *map(str, args), "--out-dir", str(out_dir))
+        seconds = time.perf_counter() - start
+        assert code == 3 and seconds < 2 and peak_mb < 60, (args[0], code, seconds, peak_mb)
+        assert json.loads(out.read_text()) == {"error": f"{error} (guard 1000000)"}
+        assert not out_dir.exists()
+
+
+def test_check_hom_is_linear_in_the_relations(tmp_path):
+    # one element and 10000 unary relations: a fresh check-hom --witness
+    # took 12-16 s while Signature.arity rebuilt its map of every relation
+    # on each call, and 0.45 s with the map built once (Python 3.11)
+    relations = {f"U{i}": {"arity": 1, "tuples": [["v"]]} for i in range(10000)}
+    unary = tmp_path / "unary.json"
+    unary.write_text(json.dumps({"domain": ["v"], "relations": relations}))
+    start = time.perf_counter()
+    r = run_cli("check-hom", str(unary), str(unary), "--target", str(unary), "--witness")
+    seconds = time.perf_counter() - start
+    assert r.returncode == 0 and seconds < 4, (r.returncode, seconds)
+    assert json.loads(r.stdout) == {"answer": "YES", "witness": {'["v","v"]': "v"}}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
+def test_repeat_patterns_share_their_relations_support(tmp_path):
+    # a source tuple for each of the 203 ways an arity-6 scope can repeat
+    # its variables, against 30000 elements with one tuple and against 2000
+    # tuples that each agree on every repeat: a table per pattern with its
+    # own support per position would take 203 * 30000 * 8 bytes and more,
+    # and one with its own copy of the rows 203 * 2000 rows; both calls
+    # peak at about 22 MB when the patterns share one support
+    partitions = [[0]]
+    for _ in range(5):
+        partitions = [p + [b] for p in partitions for b in range(max(p) + 2)]
+    source = tmp_path / "source.json"
+    tuples = [[f"x{b}" for b in p] for p in partitions]
+    source.write_text(json.dumps(
+        {"domain": [f"x{i}" for i in range(6)], "relations": {"R": {"arity": 6, "tuples": tuples}}}
+    ))
+    witness = {f'["x{i}"]': "e0" for i in range(6)}
+    for n, rows in ((30000, [["e0"] * 6]), (2000, [[f"e{i}"] * 6 for i in range(2000)])):
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(
+            {"domain": [f"e{i}" for i in range(n)], "relations": {"R": {"arity": 6, "tuples": rows}}}
+        ))
+        out = tmp_path / "out.json"
+        code, peak_mb = helpers.peak_cli(
+            out, "check-hom", str(source), "--target", str(target), "--witness"
+        )
+        assert code == 0 and peak_mb < 60, (n, code, peak_mb)
+        assert json.loads(out.read_text()) == {"answer": "YES", "witness": witness}
+
+
 def test_every_size_check_sees_the_guard(files, monkeypatch, capsys):
     # every module that binds core.check_guard, so a new caller is spied on too
     modules = [
@@ -309,6 +441,8 @@ def test_every_size_check_sees_the_guard(files, monkeypatch, capsys):
         ("check-hom", edge, "--target", loop),
         ("product", edge, edge),
         ("solve-tiling", "--system", str(files / "sys.json"), "--prefix", "t"),
+        ("reduce", "tiling", "--system", str(files / "sys.json"), "--prefix", "t",
+         "--out-dir", str(files / "tl")),
         ("reduce", "single-rel", edge, "--target", loop, "--out-dir", str(files / "sr")),
         ("reduce", "digraph", edge, "--target", loop, "--out-dir", str(files / "dg")),
         ("cq", "eval", str(query), edge),
@@ -413,6 +547,7 @@ def test_bad_structure_schema_exit_2(tmp_path, spec):
 
 
 CHECKER_PAIRS = [["k", "w"], ["w", "k"]]
+CHECKER = {"tiles": ["k", "w"], "hcompat": CHECKER_PAIRS, "vcompat": CHECKER_PAIRS}
 
 
 @pytest.mark.parametrize(

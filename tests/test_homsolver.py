@@ -197,15 +197,16 @@ def _domains(csp, source, target):
 
 
 def _cache_sizes(csp):
-    """The entries of each image cache, then of each table's memo."""
-    tables = {id(c[0]): c[0] for c in csp.cons}.values()
-    return [len(cache) for _, cache in csp.directions] + [len(t.memo) for t in tables]
+    """The entries of each image cache, then of each relation's table memo."""
+    memos = {id(c[0].memo): c[0].memo for c in csp.cons}.values()
+    return [len(cache) for _, cache in csp.directions] + [len(memo) for memo in memos]
 
 
 def test_memoized_revisions_reach_the_reference_fixpoint():
-    # the memo is shared by every constraint on a table, so a key that left
-    # out the repeat pattern would hand (x, y, x) the revision of (x, x, y);
-    # an image cache is shared by every arc of one direction of a relation
+    # the memo is shared by the tables of a relation, keyed on the table and
+    # the domains, so (x, y, x) and (x, x, y) must each have the table of
+    # their own repeat pattern, never the other's; an image cache is shared
+    # by every arc of one direction of a relation
     rng = random.Random(8)
     consistent = images = memoized = 0
     for source, target in _shared_table_corpus(rng, 80):
@@ -232,7 +233,8 @@ def test_memoized_revisions_reach_the_reference_fixpoint():
 
 def test_memo_stays_within_its_bound(monkeypatch):
     # both kinds of cache: the image cache of each direction of a binary
-    # relation and the memo of each table
+    # relation and the one memo of a relation's tables, whose bound holds
+    # for all of them together
     monkeypatch.setattr(homsolver, "MEMO_LIMIT", 8)
     rng = random.Random(12)
     corpus = list(_shared_table_corpus(rng, 10))
@@ -243,9 +245,11 @@ def test_memo_stays_within_its_bound(monkeypatch):
         target = helpers.random_structure(rng, sig, max_dom=11, min_dom=8, density=0.5)
         corpus.append((source, target))
     emptied = [0, 0]
+    shared = 0
     for source, target in corpus:
         prefix = list(range(min(3, len(source.domain))))
         csp = _Csp(source, target)
+        shared += len({id(c[0]) for c in csp.cons}) > len({id(c[0].memo) for c in csp.cons})
         n_images = len(csp.directions)
         solutions = []
         sizes = _cache_sizes(csp)
@@ -260,7 +264,54 @@ def test_memo_stays_within_its_bound(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(homsolver, "MEMO_LIMIT", 1 << 16)
             assert [list(v) for v in _Csp(source, target).search(prefix)] == solutions
-    assert emptied[0] > 0 and emptied[1] > 0
+    assert emptied[0] > 0 and emptied[1] > 0 and shared > 0
+
+
+TERNARY = Signature((("T", 3),))
+
+
+def _ternary(domain, tuples):
+    return Structure(TERNARY, domain, {"T": tuples})
+
+
+def test_a_scope_of_one_variable_narrows_at_build():
+    # (x, x, x) allows x only the values v with (v, v, v) in T: its domain
+    # is narrowed when the CSP is built, and no constraint is added
+    target = _ternary("abc", [("a", "a", "a"), ("c", "c", "c"), ("b", "a", "b")])
+    csp = _Csp(_ternary("xy", [("x", "x", "x")]), target)
+    assert csp.cons == [] and csp.var_cons == [(), ()]
+    assert csp.dom == [0b101, 0b111]
+    h = find_homomorphism(_ternary("xy", [("x", "x", "x")]), target)
+    assert h.mapping == {"x": "a", "y": "a"}
+
+
+def test_a_repeat_pattern_with_no_agreeing_row_wipes_out_at_the_root():
+    # no row of T agrees on its first two positions, so the table of the
+    # pattern (x, x, y) has no row, while (x, y, x) has one
+    target = _ternary("ab", [("a", "b", "a"), ("b", "a", "a")])
+    source = _ternary("xy", [("x", "x", "y"), ("x", "y", "x")])
+    csp = _Csp(source, target)
+    assert len({id(c[0]) for c in csp.cons}) == 2
+    assert not csp.root()
+    assert find_homomorphism(source, target) is None
+    assert find_homomorphism(_ternary("xy", [("x", "y", "x")]), target) is not None
+
+
+def test_scopes_of_distinct_variables_share_the_relations_rows():
+    # every scope with no repeat shares one table over all 26 rows of T; a
+    # repeating scope has its own, over the 8 rows that agree as (u, u, v)
+    # does, (c, c, c) being missing, and the same support
+    target = _ternary("abc", [t for t in itertools.product("abc", repeat=3) if t != ("c",) * 3])
+    source = _ternary("wxyz", [("w", "x", "y"), ("x", "y", "z"), ("z", "w", "x"), ("y", "y", "z")])
+    csp = _Csp(source, target)
+    distinct = [c for c in csp.cons if len(c[2]) == 3]
+    assert len(distinct) == 3 and len({id(c[0]) for c in distinct}) == 1
+    table = distinct[0][0]
+    assert table.live == (1 << 26) - 1 and table.positions == (0, 1, 2)
+    (repeat,) = [c for c in csp.cons if len(c[2]) == 2]
+    assert repeat[2] == (source.rank["y"], source.rank["z"]) and repeat[0] is not table
+    assert repeat[0].live.bit_count() == 8 and repeat[0].positions == (0, 2)
+    assert repeat[0].support is table.support and repeat[0].memo is table.memo
 
 
 def _random_instance(rng, max_source=5):
