@@ -10,7 +10,7 @@ element count and its columns (Structure.columns), which a product computes
 from its factors: no product element or sorted row is built for a search,
 and a solution is the search's list of values, which the witness keeps
 (Homomorphism._of_ranks).  A domain is a Python int used as a bitset over
-values.  No record is kept per binary constraint:
+values.  No constraint object is kept:
 
 - a scope of one distinct variable (unary, a loop, or a wider scope that
   repeats one variable) narrows its domain once, when the CSP is built;
@@ -18,33 +18,32 @@ values.  No record is kept per binary constraint:
 - any other binary scope (x, y) of a relation R puts (y, R forward) on x's
   neighbour list and (x, R backward) on y's.  A direction holds, per value,
   the bitset of the values R reaches from it, and the image of a domain is
-  the union of those over its values, cached per domain bitset.  A change
-  of x's domain intersects each neighbour's domain with the image of x's
-  through that neighbour's direction (AC-3, Mackworth 1977, with a queue of
-  variables);
-- any other scope of arity 3 or more is a constraint on its distinct
-  variables and on the _Table of its repeat pattern: the rows of its
-  relation that agree wherever the scope repeats a variable (every row when
-  none repeats), each variable read at its first position.  The tables of
-  a relation share its support, for every (position, value) the bitset of
-  the rows holding that value there, so a repeat pattern costs one bitset
-  of rows.  Such a constraint is only (table, getter of its variables'
-  domains, variables), and _Table.revise is its one revision: it
-  intersects the rows each variable's domain still supports and keeps the
-  values that meet a live row, in the manner of Compact-Table
-  (Demeulenaere et al., CP 2016).
+  the union of those over its values.  A change of x's domain intersects
+  each neighbour's domain with the image of x's through that neighbour's
+  direction (AC-3, Mackworth 1977, with a queue of variables);
+- any other scope of arity 3 or more becomes a hidden variable, numbered
+  after the n source variables, whose values are its relation's rows: its
+  domain starts as the rows that agree wherever the scope repeats a
+  variable (every row when none repeats).  It is linked to each distinct
+  variable of the scope at that variable's first position p, by the two
+  directions of the relation at p: forward, a row reaches the bit of its
+  value at p; backward, a value reaches the bitset of the rows that hold it
+  at p.  So every arc, binary or hidden, is revised by the one rule above,
+  and arc consistency on this hidden-variable encoding is generalized arc
+  consistency on the scopes themselves (Rossi, Petrie & Dhar, ECAI 1990;
+  Stergiou & Walsh, AAAI 1999): the source variables' domains at each
+  fixpoint are those of GAC.  The search never assigns a hidden variable.
 
 In a product thousands of scopes share one relation and meet the same
-domains, so both kinds of revision are memoized: each direction caches the
-image of a domain, and the tables of a relation share one memo keyed on
-(table, its variables' domains) that holds the revised domains, True when
-none narrows or False for a wipeout.  A cache or memo of MEMO_LIMIT
-entries is emptied before it takes another.
+domains, so each direction caches the image of a domain bitset, shared by
+all of its arcs.  A cache of MEMO_LIMIT entries is emptied before it takes
+another.
 
 There is one search, _Csp.search(prefix).  It propagates at the root, whose
 changes nothing undoes and so leave no trail.  A root that leaves every
-prefix variable a singleton, and every other variable a singleton or in no
-constraint, has found the first solution: each domain's least value.
+prefix variable a singleton, and every other source variable a singleton
+or in no constraint, has found the first solution: each domain's least
+value.
 Otherwise it records every domain change on a flat trail of (variable, old
 domain) pairs and undoes it on backtrack; a flat list of frames replaces
 recursion, so depth is limited by memory.  Arc consistency is restored
@@ -70,12 +69,12 @@ results are deterministic, whatever order the queue revises in.
 """
 
 import heapq
-from operator import itemgetter
+from itertools import islice
 
 from .core import Homomorphism, Record, check_guard, product
 from .errors import SignatureMismatchError
 
-# entries an image cache or a relation's table memo holds before it is emptied
+# entries an image cache holds before it is emptied
 MEMO_LIMIT = 1 << 16
 
 
@@ -96,58 +95,13 @@ def _image(reach, d):
     return image
 
 
-class _Table:
-    """A relation's rows that agree where a scope repeats a variable: revision data and memo."""
-
-    def __init__(self, shared, live, positions):
-        # shared by the relation's tables: support[p][val], the bitset of the
-        # rows with value val at position p; per position, domain bitset ->
-        # (rows it supports, ((value bit, rows), ...)); (table, the domains of
-        # its variables) -> the revised domains, True when none narrows,
-        # False for a wipeout
-        self.support, self.cache, self.memo = shared
-        # the rows that agree, and the first position of each variable
-        self.live, self.positions = live, positions
-
-    def entry(self, p, dom):
-        """The cache entry of domain dom at position p, computed on first use."""
-        support = self.support[p]
-        rows = 0
-        pairs = []
-        rest = dom
-        while rest:
-            low = rest & -rest
-            s = support[low.bit_length() - 1]
-            if s:
-                rows |= s
-                pairs.append((low, s))
-            rest ^= low
-        entry = self.cache[p][dom] = (rows, tuple(pairs))
-        return entry
-
-    def revise(self, doms):
-        """A memo entry: the revision of a scope whose distinct variables hold doms."""
-        cache = self.cache
-        live = self.live
-        for p, d in zip(self.positions, doms):
-            live &= (cache[p].get(d) or self.entry(p, d))[0]
-            if not live:
-                return False
-        revised = []
-        narrowed = False
-        # every live row agrees on repeats, so a variable's first position suffices
-        for p, d in zip(self.positions, doms):
-            nd = 0
-            for bit, s in cache[p][d][1]:
-                if live & s:
-                    nd |= bit
-            revised.append(nd)
-            narrowed = narrowed or nd != d
-        return tuple(revised) if narrowed else True
-
-
 class _Csp:
-    """Bitset domains with a trail; neighbour lists for binary scopes, tables for wider ones."""
+    """Bitset domains with a trail, and neighbour lists over binary and hidden-variable arcs.
+
+    dom and arcs list the n source variables first, then one hidden
+    variable per scope of arity 3 or more with two distinct variables or
+    more; the search reads and assigns only the first n.
+    """
 
     def __init__(self, source, target):
         if source.signature != target.signature:
@@ -161,13 +115,8 @@ class _Csp:
         # one int object per variable, shared by every arc that names it (a
         # column holds a new int per tuple)
         ids = None
-        # per direction of a binary relation: (the values each value reaches, image cache)
+        # per direction of a relation: (what each value or row reaches, image cache)
         self.directions = []
-        # arity 3 and more: (table, getter of the domains of the scope's
-        # distinct variables, those variables in order of first position)
-        self.cons = []
-        # per variable, its table constraints; () until it has one
-        self.var_cons = [()] * n
         for name, arity in source.signature.relations:
             if not source.tuple_count(name):
                 continue
@@ -206,50 +155,55 @@ class _Csp:
                     else:
                         arcs[y] = [x, k + 1]
             else:
-                self._add_scopes(rows, cols, n_values)
+                ids = ids or list(range(n))
+                self._add_scopes(rows, [map(ids.__getitem__, col) for col in cols], n_values)
+        self.n = n
         self.trail = []  # flat: variable, its domain before the change, ...
-        self._queued = bytearray(n)
+        self._queued = bytearray(len(dom))
 
     def _add_scopes(self, rows, cols, n_values):
-        """Add the scopes of a relation of arity 3 or more, each on its distinct variables."""
-        arity = len(cols)
-        support = [[0] * n_values for _ in range(arity)]
-        for r, row in enumerate(rows):
-            bit = 1 << r
-            for p, val in enumerate(row):
-                support[p][val] |= bit
-        shared = (support, [{} for _ in range(arity)], {})
-        # per repeat pattern (None when no variable repeats): its _Table, or,
-        # for one variable, the values it allows
-        tables = {None: _Table(shared, (1 << len(rows)) - 1, tuple(range(arity)))}
+        """Add the scopes of a relation of arity 3 or more, each a hidden variable over its rows."""
+        dom, arcs, arity = self.dom, self.arcs, len(cols)
+        # per position p, directions k + 2p (row -> its value's bit) and
+        # k + 2p + 1 (value -> the bitset of the rows holding it there)
+        k = len(self.directions)
+        for p in range(arity):
+            backward = [0] * n_values
+            for r, row in enumerate(rows):
+                backward[row[p]] |= 1 << r
+            self.directions += [([1 << row[p] for row in rows], {}), (backward, {})]
+        # per repeat pattern (None when no variable repeats): the rows that
+        # agree on it, or, for one variable, the values it allows
+        starts = {None: (1 << len(rows)) - 1}
         for scope in zip(*cols):
-            if len(set(scope)) == arity:
-                pattern, variables = None, scope
-            else:
-                # the first position of each position's variable
-                pattern = tuple(map(scope.index, scope))
-                variables = tuple(dict.fromkeys(scope))
-            table = tables.get(pattern)
-            if table is None:
+            first = {}
+            for p, x in enumerate(scope):
+                first.setdefault(x, p)
+            pattern = None if len(first) == arity else tuple(map(first.get, scope))
+            start = starts.get(pattern)
+            if start is None:
                 agree = [
                     r for r, row in enumerate(rows)
                     if all(row[p] == row[q] for p, q in enumerate(pattern))
                 ]
-                if len(variables) == 1:
-                    table = sum(1 << rows[r][0] for r in agree)
+                if len(first) == 1:
+                    start = sum(1 << rows[r][0] for r in agree)
                 else:
-                    firsts = tuple(dict.fromkeys(pattern))
-                    table = _Table(shared, sum(1 << r for r in agree), firsts)
-                tables[pattern] = table
-            if len(variables) == 1:
-                self.dom[scope[0]] &= table
+                    start = sum(1 << r for r in agree)
+                starts[pattern] = start
+            if len(first) == 1:
+                dom[scope[0]] &= start
                 continue
-            ci = len(self.cons)
-            self.cons.append((table, itemgetter(*variables), variables))
-            for v in variables:
-                if not self.var_cons[v]:
-                    self.var_cons[v] = []
-                self.var_cons[v].append(ci)
+            h = len(dom)
+            dom.append(start)
+            link = []
+            for x, p in first.items():
+                link += (x, k + 2 * p)
+                if arcs[x]:
+                    arcs[x] += (h, k + 2 * p + 1)
+                else:
+                    arcs[x] = [h, k + 2 * p + 1]
+            arcs.append(tuple(link))
 
     def pin(self, var, bit):
         """Restrict var to one value bit and propagate; False on a wipeout."""
@@ -266,16 +220,17 @@ class _Csp:
         """Propagate to the root fixpoint; False when a domain is or becomes empty.
 
         The build already revised every arc from a full domain, so only the
-        variables it narrowed, and those of the tables, start the queue.
+        variables it narrowed, and the hidden ones, start the queue.
         """
+        dom, n = self.dom, self.n
         full = (1 << len(self.target.domain)) - 1
-        seeds = [v for v, (d, cs) in enumerate(zip(self.dom, self.var_cons)) if d != full or cs]
-        return 0 not in self.dom and self.propagate(seeds)
+        seeds = [v for v in range(n) if dom[v] != full] + list(range(n, len(dom)))
+        return 0 not in dom and self.propagate(seeds)
 
     def propagate(self, seeds, trail=None):
         """Propagate from seeds to the fixpoint, recording on trail if given; False on a wipeout."""
         dom, arcs, directions = self.dom, self.arcs, self.directions
-        cons, var_cons, queued = self.cons, self.var_cons, self._queued
+        queued = self._queued
         queue = []
         for x in seeds:
             if not queued[x]:
@@ -297,19 +252,6 @@ class _Csp:
                 e = dom[y]
                 if e & image != e:
                     changed.append((y, e & image))
-            for ci in var_cons[x]:
-                table, doms, variables = cons[ci]
-                memo = table.memo
-                key = (table, doms(dom))
-                revised = memo.get(key)
-                if revised is None:
-                    if len(memo) >= MEMO_LIMIT:
-                        memo.clear()
-                    revised = memo[key] = table.revise(key[1])
-                if revised is False:
-                    changed.append((variables[0], 0))
-                elif revised is not True:
-                    changed.extend(zip(variables, revised))
             for y, nd in changed:
                 e = dom[y]
                 if nd & e != e:
@@ -341,15 +283,15 @@ class _Csp:
         from as soon as it is made; undoing it restores the state its
         successors start from, so the other solutions do not change.
         """
-        dom, n = self.dom, len(self.dom)
+        dom, n = self.dom, self.n
         if not self.root() or not prefix and () in skip:
             return
         if all(dom[v] & (dom[v] - 1) == 0 for v in prefix) and all(
-            d & (d - 1) == 0 or not (a or c) for d, a, c in zip(dom, self.arcs, self.var_cons)
+            d & (d - 1) == 0 or not a for d, a in zip(islice(dom, n), self.arcs)
         ):
             # the first solution, which the descent reaches without a
             # backtrack: a variable in no constraint takes its least value
-            value = [(d & -d).bit_length() - 1 for d in dom]
+            value = [(d & -d).bit_length() - 1 for d in islice(dom, n)]
             if not skip or tuple([value[v] for v in prefix]) not in skip:
                 yield value
             return
@@ -362,7 +304,7 @@ class _Csp:
         depth = len(order)
         # lazy heap of size * n + variable, which orders as (domain size, variable);
         # an entry is live while it matches an unassigned variable's domain size
-        heap = [d.bit_count() * n + v for v, d in enumerate(dom)]
+        heap = [d.bit_count() * n + v for v, d in enumerate(islice(dom, n))]
         heapq.heapify(heap)
 
         def pick():
@@ -389,7 +331,8 @@ class _Csp:
                 d = trail.pop()
                 v = trail.pop()
                 dom[v] = d
-                heapq.heappush(heap, d.bit_count() * n + v)
+                if v < n:
+                    heapq.heappush(heap, d.bit_count() * n + v)
             if not untried:
                 value[var] = -1
                 heapq.heappush(heap, dom[var].bit_count() * n + var)
@@ -406,7 +349,8 @@ class _Csp:
                 continue
             # past var's own entry, which pin records first when it records any
             for v in trail[mark + 2 :: 2]:
-                heapq.heappush(heap, dom[v].bit_count() * n + v)
+                if v < n:
+                    heapq.heappush(heap, dom[v].bit_count() * n + v)
             if len(frames) < 3 * n:
                 var = pick()
                 frames += (var, dom[var], len(trail))

@@ -1,21 +1,126 @@
-"""The search loop as it stood before its state was made flat: the reference of test_search.py.
+"""The search as it stood before its state was made flat, and table GAC: the reference of test_search.py.
 
-ReferenceCsp shares _Csp's build (domains, neighbour lists, tables) and
-replaces pin, root, propagate and search with the earlier code: a trail of
-(variable, domain) tuples that root propagation fills too, a 3-slot list
-per frame, a heap of (domain size, variable) tuples and no shortcut for a
-root that leaves every domain a singleton.  Kept verbatim, so a change of
-the search's order, its first solutions or its witnesses shows up as a
+ReferenceCsp shares _Csp's build of domains and of the neighbour lists of
+binary scopes.  It replaces pin, root, propagate and search with the
+earlier loop: a trail of (variable, domain) tuples that root propagation
+fills too, a 3-slot list per frame, a heap of (domain size, variable)
+tuples and no shortcut for a root that leaves every domain a singleton.
+A scope of arity 3 or more is not a hidden variable here but a constraint
+on its distinct variables and the _Table of its repeat pattern, revised
+by the table's own intersection of supports under a memo (_Table and
+_add_scopes are the solver's code from before the hidden-variable
+encoding).  All of it is kept verbatim, so a change of the search's order,
+its first solutions, its witnesses or its propagation shows up as a
 difference from it.
 """
 
 import heapq
+from operator import itemgetter
 
 from homforge import homsolver
 from homforge.homsolver import _Csp, _image
 
 
+class _Table:
+    """A relation's rows that agree where a scope repeats a variable: revision data and memo."""
+
+    def __init__(self, shared, live, positions):
+        # shared by the relation's tables: support[p][val], the bitset of the
+        # rows with value val at position p; per position, domain bitset ->
+        # (rows it supports, ((value bit, rows), ...)); (table, the domains of
+        # its variables) -> the revised domains, True when none narrows,
+        # False for a wipeout
+        self.support, self.cache, self.memo = shared
+        # the rows that agree, and the first position of each variable
+        self.live, self.positions = live, positions
+
+    def entry(self, p, dom):
+        """The cache entry of domain dom at position p, computed on first use."""
+        support = self.support[p]
+        rows = 0
+        pairs = []
+        rest = dom
+        while rest:
+            low = rest & -rest
+            s = support[low.bit_length() - 1]
+            if s:
+                rows |= s
+                pairs.append((low, s))
+            rest ^= low
+        entry = self.cache[p][dom] = (rows, tuple(pairs))
+        return entry
+
+    def revise(self, doms):
+        """A memo entry: the revision of a scope whose distinct variables hold doms."""
+        cache = self.cache
+        live = self.live
+        for p, d in zip(self.positions, doms):
+            live &= (cache[p].get(d) or self.entry(p, d))[0]
+            if not live:
+                return False
+        revised = []
+        narrowed = False
+        # every live row agrees on repeats, so a variable's first position suffices
+        for p, d in zip(self.positions, doms):
+            nd = 0
+            for bit, s in cache[p][d][1]:
+                if live & s:
+                    nd |= bit
+            revised.append(nd)
+            narrowed = narrowed or nd != d
+        return tuple(revised) if narrowed else True
+
+
 class ReferenceCsp(_Csp):
+    def __init__(self, source, target):
+        # arity 3 and more: (table, getter of the domains of the scope's
+        # distinct variables, those variables in order of first position)
+        self.cons = []
+        # per variable, its table constraints; () until it has one
+        self.var_cons = [()] * len(source.domain)
+        super().__init__(source, target)
+
+    def _add_scopes(self, rows, cols, n_values):
+        """Add the scopes of a relation of arity 3 or more, each on its distinct variables."""
+        arity = len(cols)
+        support = [[0] * n_values for _ in range(arity)]
+        for r, row in enumerate(rows):
+            bit = 1 << r
+            for p, val in enumerate(row):
+                support[p][val] |= bit
+        shared = (support, [{} for _ in range(arity)], {})
+        # per repeat pattern (None when no variable repeats): its _Table, or,
+        # for one variable, the values it allows
+        tables = {None: _Table(shared, (1 << len(rows)) - 1, tuple(range(arity)))}
+        for scope in zip(*cols):
+            if len(set(scope)) == arity:
+                pattern, variables = None, scope
+            else:
+                # the first position of each position's variable
+                pattern = tuple(map(scope.index, scope))
+                variables = tuple(dict.fromkeys(scope))
+            table = tables.get(pattern)
+            if table is None:
+                agree = [
+                    r for r, row in enumerate(rows)
+                    if all(row[p] == row[q] for p, q in enumerate(pattern))
+                ]
+                if len(variables) == 1:
+                    table = sum(1 << rows[r][0] for r in agree)
+                else:
+                    firsts = tuple(dict.fromkeys(pattern))
+                    table = _Table(shared, sum(1 << r for r in agree), firsts)
+                tables[pattern] = table
+            if len(variables) == 1:
+                self.dom[scope[0]] &= table
+                continue
+            ci = len(self.cons)
+            self.cons.append((table, itemgetter(*variables), variables))
+            for v in variables:
+                if not self.var_cons[v]:
+                    self.var_cons[v] = []
+                self.var_cons[v].append(ci)
+
     def pin(self, var, bit):
         """Restrict var to one value bit and propagate; False on a wipeout."""
         d = self.dom[var]

@@ -158,12 +158,12 @@ def test_image_witnesses_repeated_empty_and_wiped_out():
         assert _check_image_witnesses(looped, two, dist) == {}
 
 
-def _shared_table_corpus(rng, count):
+def _shared_relation_corpus(rng, count):
     """Random structures with unary, binary and ternary scopes into targets of 8 to 11 elements.
 
     The source's tuples include the scopes (x), (x, y), (x, x), (x, y, x),
-    (x, x, y), (x, y, y), (x, x, x) and (x, y, z), so each target table is
-    shared by scopes of several repeat patterns over equal domains.
+    (x, x, y), (x, y, y), (x, x, x) and (x, y, z), so each target relation
+    is shared by scopes of several repeat patterns over equal domains.
     """
     sig = Signature((("E", 2), ("T", 3), ("U", 1)))
     patterns = ((0,), (0, 1), (0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 0, 0), (0, 1, 2))
@@ -197,25 +197,40 @@ def _domains(csp, source, target):
 
 
 def _cache_sizes(csp):
-    """The entries of each image cache, then of each relation's table memo."""
-    memos = {id(c[0].memo): c[0].memo for c in csp.cons}.values()
-    return [len(cache) for _, cache in csp.directions] + [len(memo) for memo in memos]
+    """The entries of each image cache, in direction order."""
+    return [len(cache) for _, cache in csp.directions]
+
+
+def _pairs(arcs):
+    it = iter(arcs)
+    return list(zip(it, it))
+
+
+def _wide_directions(csp):
+    """The directions of relations of arity 3 or more: those on an arc to or from a hidden variable."""
+    return {
+        k for v, arcs in enumerate(csp.arcs) for y, k in _pairs(arcs) if max(v, y) >= csp.n
+    }
 
 
 def test_memoized_revisions_reach_the_reference_fixpoint():
-    # the memo is shared by the tables of a relation, keyed on the table and
-    # the domains, so (x, y, x) and (x, x, y) must each have the table of
-    # their own repeat pattern, never the other's; an image cache is shared
-    # by every arc of one direction of a relation
+    # every scope of a relation shares its image caches, so (x, y, x) and
+    # (x, x, y) meet the same caches from hidden domains that start from the
+    # rows of their own repeat pattern, never the other's; an image cache
+    # is shared by every arc of one direction of a relation
     rng = random.Random(8)
     consistent = images = memoized = 0
-    for source, target in _shared_table_corpus(rng, 80):
+    for source, target in _shared_relation_corpus(rng, 80):
         csp = _Csp(source, target)
         ok = csp.root()
         expected = helpers.reference_gac(source, target)
         assert ok == (expected is not None)
-        images += sum(len(cache) for _, cache in csp.directions)
-        memoized += sum(len(c[0].memo) for c in csp.cons)
+        wide = _wide_directions(csp)
+        for k, (_, cache) in enumerate(csp.directions):
+            if k in wide:
+                memoized += len(cache)
+            else:
+                images += len(cache)
         if not ok:
             continue
         consistent += 1
@@ -232,12 +247,11 @@ def test_memoized_revisions_reach_the_reference_fixpoint():
 
 
 def test_memo_stays_within_its_bound(monkeypatch):
-    # both kinds of cache: the image cache of each direction of a binary
-    # relation and the one memo of a relation's tables, whose bound holds
-    # for all of them together
+    # the image caches of binary relations and of the hidden variables of
+    # wider ones, each direction's cache shared by all of its arcs
     monkeypatch.setattr(homsolver, "MEMO_LIMIT", 8)
     rng = random.Random(12)
-    corpus = list(_shared_table_corpus(rng, 10))
+    corpus = list(_shared_relation_corpus(rng, 10))
     # dense digraphs into 8 to 11 values meet many more domains per direction
     sig = Signature((("E", 2),))
     for _ in range(4):
@@ -249,16 +263,18 @@ def test_memo_stays_within_its_bound(monkeypatch):
     for source, target in corpus:
         prefix = list(range(min(3, len(source.domain))))
         csp = _Csp(source, target)
-        shared += len({id(c[0]) for c in csp.cons}) > len({id(c[0].memo) for c in csp.cons})
-        n_images = len(csp.directions)
+        wide = _wide_directions(csp)
+        # a wide direction on the arcs of more than one hidden variable
+        hidden = [k for h in range(csp.n, len(csp.dom)) for _, k in _pairs(csp.arcs[h])]
+        shared += any(hidden.count(k) > 1 for k in wide)
         solutions = []
         sizes = _cache_sizes(csp)
         for value in csp.search(prefix):
             solutions.append(list(value))
             now = _cache_sizes(csp)
             assert max(now) <= homsolver.MEMO_LIMIT
-            for i, (before, after) in enumerate(zip(sizes, now)):
-                emptied[i >= n_images] += after < before
+            for k, (before, after) in enumerate(zip(sizes, now)):
+                emptied[k in wide] += after < before
             sizes = now
         # the bound changes no answer
         with monkeypatch.context() as m:
@@ -276,42 +292,67 @@ def _ternary(domain, tuples):
 
 def test_a_scope_of_one_variable_narrows_at_build():
     # (x, x, x) allows x only the values v with (v, v, v) in T: its domain
-    # is narrowed when the CSP is built, and no constraint is added
+    # is narrowed when the CSP is built, and no hidden variable is added
     target = _ternary("abc", [("a", "a", "a"), ("c", "c", "c"), ("b", "a", "b")])
     csp = _Csp(_ternary("xy", [("x", "x", "x")]), target)
-    assert csp.cons == [] and csp.var_cons == [(), ()]
+    assert len(csp.dom) == csp.n == 2 and csp.arcs == [(), ()]
     assert csp.dom == [0b101, 0b111]
     h = find_homomorphism(_ternary("xy", [("x", "x", "x")]), target)
     assert h.mapping == {"x": "a", "y": "a"}
 
 
 def test_a_repeat_pattern_with_no_agreeing_row_wipes_out_at_the_root():
-    # no row of T agrees on its first two positions, so the table of the
-    # pattern (x, x, y) has no row, while (x, y, x) has one
+    # no row of T agrees on its first two positions, so the hidden variable
+    # of (x, x, y) starts with no row, while that of (x, y, x) has one
     target = _ternary("ab", [("a", "b", "a"), ("b", "a", "a")])
     source = _ternary("xy", [("x", "x", "y"), ("x", "y", "x")])
     csp = _Csp(source, target)
-    assert len({id(c[0]) for c in csp.cons}) == 2
+    assert csp.dom[csp.n :] == [0, 0b01]
     assert not csp.root()
     assert find_homomorphism(source, target) is None
     assert find_homomorphism(_ternary("xy", [("x", "y", "x")]), target) is not None
 
 
 def test_scopes_of_distinct_variables_share_the_relations_rows():
-    # every scope with no repeat shares one table over all 26 rows of T; a
-    # repeating scope has its own, over the 8 rows that agree as (u, u, v)
-    # does, (c, c, c) being missing, and the same support
+    # a scope with no repeat starts its hidden variable from all 26 rows of
+    # T; a repeating one from the 8 rows that agree as (u, u, v) does,
+    # (c, c, c) being missing, linked to its variables at their first
+    # positions only; all of them share T's directions, 2p and 2p + 1 at
+    # position p
     target = _ternary("abc", [t for t in itertools.product("abc", repeat=3) if t != ("c",) * 3])
     source = _ternary("wxyz", [("w", "x", "y"), ("x", "y", "z"), ("z", "w", "x"), ("y", "y", "z")])
     csp = _Csp(source, target)
-    distinct = [c for c in csp.cons if len(c[2]) == 3]
-    assert len(distinct) == 3 and len({id(c[0]) for c in distinct}) == 1
-    table = distinct[0][0]
-    assert table.live == (1 << 26) - 1 and table.positions == (0, 1, 2)
-    (repeat,) = [c for c in csp.cons if len(c[2]) == 2]
-    assert repeat[2] == (source.rank["y"], source.rank["z"]) and repeat[0] is not table
-    assert repeat[0].live.bit_count() == 8 and repeat[0].positions == (0, 2)
-    assert repeat[0].support is table.support and repeat[0].memo is table.memo
+    rank = source.rank
+    hidden = {
+        tuple(source.domain[x] for x, _ in _pairs(csp.arcs[h])): h for h in range(csp.n, len(csp.dom))
+    }
+    assert sorted(hidden) == [("w", "x", "y"), ("x", "y", "z"), ("y", "z"), ("z", "w", "x")]
+    for scope, h in hidden.items():
+        positions = (0, 2) if scope == ("y", "z") else (0, 1, 2)
+        assert [k for _, k in _pairs(csp.arcs[h])] == [2 * p for p in positions]
+        for x, p in zip(scope, positions):
+            assert (h, 2 * p + 1) in _pairs(csp.arcs[rank[x]])
+        assert csp.dom[h].bit_count() == (26 if len(scope) == 3 else 8)
+
+
+def test_search_never_pins_a_hidden_variable(monkeypatch):
+    # pinning x to a fixes T's one hidden variable to one row, while u,
+    # in no constraint, keeps all three values: the hidden domain is then
+    # the smallest unassigned one, and only source variables are pinned
+    target = _ternary("abc", [("a", "a", "a"), ("b", "b", "b")])
+    source = _ternary("xyzu", [("x", "y", "z")])
+    pinned = []
+    real = _Csp.pin
+
+    def pin(csp, var, bit):
+        pinned.append((var, csp.n))
+        return real(csp, var, bit)
+
+    monkeypatch.setattr(_Csp, "pin", pin)
+    h = find_homomorphism(source, target)
+    assert h.mapping == {"x": "a", "y": "a", "z": "a", "u": "a"}
+    assert pinned and all(var < n for var, n in pinned)
+    assert len({var for var, _ in pinned}) == 4
 
 
 def _random_instance(rng, max_source=5):

@@ -79,15 +79,16 @@ def test_image_witnesses_match_the_reference_loop(data):
 
 
 def test_the_shortcut_and_the_descent_both_run():
-    # the corpus above reaches both paths: a root that decides every variable,
-    # and one that leaves a search to do
+    # the corpus above reaches both paths: a root that decides every source
+    # variable, and one that leaves a search to do; a hidden variable's
+    # domain, over its relation's rows, is never searched on
     rng = random.Random(5)
     decided = searched = 0
     for _ in range(200):
         source, target = _instance(rng)
         csp = _Csp(source, target)
         if csp.root():
-            if max(map(int.bit_count, csp.dom), default=1) == 1:
+            if max(map(int.bit_count, csp.dom[: len(source.domain)]), default=1) == 1:
                 decided += 1
             else:
                 searched += 1
