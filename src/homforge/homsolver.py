@@ -33,11 +33,14 @@ values.  No constraint object is kept:
   consistency on the scopes themselves (Rossi, Petrie & Dhar, ECAI 1990;
   Stergiou & Walsh, AAAI 1999): the source variables' domains at each
   fixpoint are those of GAC.  The search never assigns a hidden variable.
+  These scopes times their rows' 64-bit words are checked against the
+  size guard before the CSP is built.
 
 In a product thousands of scopes share one relation and meet the same
 domains, so each direction caches the image of a domain bitset, shared by
 all of its arcs.  A cache of MEMO_LIMIT entries is emptied before it takes
-another.
+another.  An image reads its domain's bits in one pass, so a domain of n
+rows costs O(n).
 
 There is one search, _Csp.search(prefix).  It propagates at the root, whose
 changes nothing undoes and so leave no trail.  A root that leaves every
@@ -88,11 +91,26 @@ class PhpVerdict(Record):
 def _image(reach, d):
     """The values reached from any value of domain d, per value's bitset reach."""
     image = 0
-    while d:
-        low = d & -d
-        image |= reach[low.bit_length() - 1]
-        d ^= low
+    # bit i of d at index i: one pass over d, where taking its low bit off
+    # step by step would copy the whole int at each step
+    bits = bin(d)[:1:-1]
+    i = bits.find("1")
+    while i >= 0:
+        image |= reach[i]
+        i = bits.find("1", i + 1)
     return image
+
+
+def _bitset(indices):
+    """The int whose set bits are indices, a list.
+
+    The bits are set byte by byte: or-ing them into an int one by one would
+    copy the int once per index.
+    """
+    buf = bytearray(max(indices, default=-1) // 8 + 1)
+    for i in indices:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
 
 
 class _Csp:
@@ -107,6 +125,14 @@ class _Csp:
         if source.signature != target.signature:
             raise SignatureMismatchError("source and target must share a signature")
         self.source, self.target = source, target
+        # a hidden variable holds a bitset over its relation's rows: every
+        # scope of arity 3 or more counts its rows' 64-bit words
+        words = sum(
+            source.tuple_count(name) * -(-len(target.rows[name]) // 64)
+            for name, arity in source.signature.relations
+            if arity > 2
+        )
+        check_guard(words, f"hidden variables would hold {words} words of rows")
         n, n_values = len(source.domain), len(target.domain)
         dom = self.dom = [(1 << n_values) - 1] * n
         # per variable, flat: neighbour, direction, neighbour, direction, ...;
@@ -167,14 +193,24 @@ class _Csp:
         # per position p, directions k + 2p (row -> its value's bit) and
         # k + 2p + 1 (value -> the bitset of the rows holding it there)
         k = len(self.directions)
+        every = (1 << len(rows)) - 1
+        # one bit per value that occurs, shared by every row and position holding it
+        bit = {}
         for p in range(arity):
-            backward = [0] * n_values
+            held = {}
             for r, row in enumerate(rows):
-                backward[row[p]] |= 1 << r
-            self.directions += [([1 << row[p] for row in rows], {}), (backward, {})]
+                held.setdefault(row[p], []).append(r)
+            backward = [0] * n_values
+            for v, held_rows in held.items():
+                backward[v] = _bitset(held_rows)
+                bit.setdefault(v, 1 << v)
+            # the image of every row, which root() revises first, seeds the
+            # cache from the values that occur, not from a walk of the rows
+            image = {every: _bitset(list(held))}
+            self.directions += [([bit[row[p]] for row in rows], image), (backward, {})]
         # per repeat pattern (None when no variable repeats): the rows that
         # agree on it, or, for one variable, the values it allows
-        starts = {None: (1 << len(rows)) - 1}
+        starts = {None: every}
         for scope in zip(*cols):
             first = {}
             for p, x in enumerate(scope):
@@ -187,9 +223,9 @@ class _Csp:
                     if all(row[p] == row[q] for p, q in enumerate(pattern))
                 ]
                 if len(first) == 1:
-                    start = sum(1 << rows[r][0] for r in agree)
+                    start = _bitset([rows[r][0] for r in agree])
                 else:
-                    start = sum(1 << r for r in agree)
+                    start = _bitset(agree)
                 starts[pattern] = start
             if len(first) == 1:
                 dom[scope[0]] &= start

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import itertools
 import json
 import os
 import pkgutil
@@ -436,6 +437,59 @@ def test_repeat_patterns_walk_their_rows_not_the_values(tmp_path):
     assert r.returncode == 0 and seconds < 3, (r.returncode, seconds)
     digest = hashlib.sha256(r.stdout.encode()).hexdigest()
     assert digest == "5367cf1421a1890caf3afa482a6218b2412e01201f86388ffe417f65ca72e887", digest
+
+
+def _ternary(path, domain, tuples):
+    path.write_text(json.dumps({"domain": domain, "relations": {"R": {"arity": 3, "tuples": tuples}}}))
+    return path
+
+
+# loads a source and a target, and prints how long find_homomorphism takes
+# on them and the witness it finds
+_SOLVE = """
+import sys, time
+from homforge import core, homsolver
+source, target = map(core.load_structure, sys.argv[1:])
+start = time.perf_counter()
+hom = homsolver.find_homomorphism(source, target)
+print(time.perf_counter() - start, sorted(hom.mapping.items()))
+"""
+
+
+def test_a_hidden_variable_walks_its_rows_once(tmp_path):
+    # one scope (x, y, z) against every triple of 60 elements, 216000 rows:
+    # the root revises the hidden variable's rows into each position's
+    # values. Taking a row bitset's low bit off step by step copied the
+    # whole int at each step: about 13 s in find_homomorphism in a fresh
+    # process. Reading its binary digits once, with the image of every row
+    # read off the columns: about 0.3 s (Python 3.11)
+    elements = [f"e{i}" for i in range(60)]
+    source = _ternary(tmp_path / "source.json", ["x", "y", "z"], [["x", "y", "z"]])
+    target = _ternary(tmp_path / "target.json", elements,
+                      [list(t) for t in itertools.product(elements, repeat=3)])
+    r = subprocess.run([sys.executable, "-c", _SOLVE, str(source), str(target)],
+                       capture_output=True, text=True, check=True)
+    seconds, witness = r.stdout.split(" ", 1)
+    assert float(seconds) < 5, seconds
+    assert witness == "[('x', 'e0'), ('y', 'e0'), ('z', 'e0')]\n"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
+def test_hidden_variables_are_refused_before_they_are_built(tmp_path):
+    # the 24360 triples of distinct elements of 30 against the 62400
+    # triples of 40 elements that do not end in e0: every variable loses
+    # e0, so every scope's hidden variable got a row bitset of its own, and
+    # a fresh check-hom peaked at 440 MB; 24360 scopes of 975 words each
+    # are refused before the CSP is built, at about 48 MB
+    xs, es = [f"x{i}" for i in range(30)], [f"e{i}" for i in range(40)]
+    source = _ternary(tmp_path / "source.json", xs, [list(t) for t in itertools.permutations(xs, 3)])
+    target = _ternary(tmp_path / "target.json", es,
+                      [list(t) for t in itertools.product(es, repeat=3) if t[2] != "e0"])
+    out = tmp_path / "out.json"
+    code, peak_mb = helpers.peak_cli(out, "check-hom", str(source), "--target", str(target))
+    assert code == 3 and peak_mb < 100, (code, peak_mb)
+    error = "hidden variables would hold 23751000 words of rows (guard 1000000)"
+    assert json.loads(out.read_text()) == {"error": error}
 
 
 def test_every_size_check_sees_the_guard(files, monkeypatch, capsys):

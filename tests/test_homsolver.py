@@ -16,7 +16,12 @@ from homforge.core import (
     product,
 )
 from homforge import homsolver
-from homforge.errors import NotAHomomorphismError, SignatureMismatchError, UsageError
+from homforge.errors import (
+    GuardExceededError,
+    NotAHomomorphismError,
+    SignatureMismatchError,
+    UsageError,
+)
 from homforge.homsolver import (
     _Csp,
     decide_php,
@@ -353,6 +358,21 @@ def test_search_never_pins_a_hidden_variable(monkeypatch):
     assert h.mapping == {"x": "a", "y": "a", "z": "a", "u": "a"}
     assert pinned and all(var < n for var, n in pinned)
     assert len({var for var, _ in pinned}) == 4
+
+
+def test_hidden_variables_are_counted_against_the_guard(monkeypatch):
+    # three ternary scopes against 65 rows, two 64-bit words each: 6 words,
+    # (x, x, x) counted too although it adds no hidden variable; the guard
+    # is checked before the CSP is built
+    elements = [f"e{i}" for i in range(65)]
+    target = _ternary(elements, [(e, e, e) for e in elements])
+    source = _ternary("xy", [("x", "y", "x"), ("y", "x", "y"), ("x", "x", "x")])
+    monkeypatch.setenv("HOMFORGE_GUARD", "6")
+    assert find_homomorphism(source, target).mapping == {"x": "e0", "y": "e0"}
+    monkeypatch.setenv("HOMFORGE_GUARD", "5")
+    with pytest.raises(GuardExceededError) as exc:
+        _Csp(source, target)
+    assert str(exc.value) == "hidden variables would hold 6 words of rows (guard 5)"
 
 
 def _random_instance(rng, max_source=5):
