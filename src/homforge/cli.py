@@ -28,6 +28,7 @@ import types
 from . import cqdef, normalform, tiling
 from .core import (
     PhpInstance,
+    Structure,
     _quote,
     check_guard,
     element_label,
@@ -36,9 +37,9 @@ from .core import (
     product,
     save_rows,
     save_structure,
+    serialize,
     size_guard,
     string_rows,
-    structure_to_dict,
 )
 from .cq import canonical_structure, evaluate, load_query, query_to_dict
 from .errors import CertificateError, GuardExceededError, HomforgeError
@@ -71,6 +72,9 @@ def _emit(payload, args):
                     write(start + inner + ("," + inner).join(items))
                     start = ","
             write("{}" if start == "{" else pad + "}")
+        elif isinstance(value, Structure):
+            # its file text, less the final newline
+            write(serialize(value, args.pretty)[:-1].replace("\n", pad))
         else:
             text = json.dumps(value, sort_keys=True, indent=indent, separators=(",", colon))
             write(text.replace("\n", pad))
@@ -111,7 +115,7 @@ def cmd_product(args):
     if args.out:
         save_structure(prod, args.out)
         return EXIT_YES, {"written": args.out, "size": len(prod.domain)}
-    return EXIT_YES, {"structure": structure_to_dict(prod)}
+    return EXIT_YES, {"structure": prod}
 
 
 def _tiling_instance(args):
@@ -186,7 +190,7 @@ def cmd_cq_canonical(args):
     s = load_structure(args.structure)
     pointed = canonical_structure(q, s.signature)
     return EXIT_YES, {
-        "structure": structure_to_dict(pointed.structure),
+        "structure": pointed.structure,
         "distinguished": [element_label(e) for e in pointed.distinguished],
     }
 

@@ -54,7 +54,8 @@ reader of HOMFORGE_GUARD; no function takes the guard as an argument.
 Files are written as json.dumps(..., sort_keys=True, indent=2) writes them,
 byte for byte, but the text is joined here from the C string encoder that
 json.dumps itself uses (json's indenting encoder is pure Python), and each
-domain element is labelled once.
+domain element is labelled once.  serialize also lays out the compact form,
+which the CLI prints for a structure.
 """
 
 import itertools
@@ -570,47 +571,41 @@ def product(factors):
 # domain and the tuples.
 
 
-def structure_to_dict(s):
-    labels = s.labels()
-    return {
-        "domain": labels,
-        "relations": {
-            name: {
-                "arity": arity,
-                "tuples": [[labels[r] for r in row] for row in s.rows[name]],
-            }
-            for name, arity in s.signature.relations
-        },
-    }
+def _block(items, pad, brackets="[]"):
+    """JSON text of an array (or object) of encoded items whose lines start with pad.
 
-
-def _block(items, indent, brackets="[]"):
-    """JSON text of an array (or object) of encoded items, as indent=2 lays it out at indent."""
+    pad is "\n" plus indent=2's spaces at the array's depth, or "" for the
+    compact form.
+    """
     if not items:
         return brackets
-    pad = "\n" + " " * (indent + 2)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * indent + brackets[1]
+    inner = pad and pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
 
-def _rows(rows, indent):
-    """JSON text of an array of arrays of encoded labels, as indent=2 lays it out at indent."""
-    return _block([_block(row, indent + 2) for row in rows], indent)
+def _rows(rows, pad):
+    """JSON text of an array of arrays of encoded labels whose lines start with pad."""
+    return _block([_block(row, pad and pad + "  ") for row in rows], pad)
 
 
-def serialize(s):
-    """Canonical JSON text for a structure (stable byte-for-byte).
+def serialize(s, pretty=True):
+    """Canonical JSON text for a structure (stable byte-for-byte), ending in a newline.
 
-    The text is json.dumps(structure_to_dict(s), sort_keys=True, indent=2)
-    plus a newline, byte for byte.
+    The text is json.dumps(d, sort_keys=True, indent=2) plus a newline, byte
+    for byte, where d maps "domain" to the element labels and "relations" to
+    each relation's arity and tuples of labels; with pretty false it is
+    json.dumps's compact form of d, separators "," and ":", plus a newline.
     """
+    pad, colon = ("\n", ": ") if pretty else ("", ":")
+    at = [pad and pad + " " * k for k in (2, 4, 6)]
     labels = list(map(_quote, s.labels()))
     relations = []
     for name, arity in s.signature.relations:
-        tuples = _rows([[labels[r] for r in row] for row in s.rows[name]], 6)
-        relation = _block([f'"arity": {arity}', f'"tuples": {tuples}'], 4, "{}")
-        relations.append(f"{_quote(name)}: {relation}")
-    fields = ['"domain": ' + _block(labels, 2), '"relations": ' + _block(relations, 2, "{}")]
-    return _block(fields, 0, "{}") + "\n"
+        tuples = _rows([[labels[r] for r in row] for row in s.rows[name]], at[2])
+        relation = _block([f'"arity"{colon}{arity}', f'"tuples"{colon}{tuples}'], at[1], "{}")
+        relations.append(_quote(name) + colon + relation)
+    domain, relations = _block(labels, at[0]), _block(relations, at[0], "{}")
+    return _block([f'"domain"{colon}{domain}', f'"relations"{colon}{relations}'], pad, "{}") + "\n"
 
 
 def string_list(value, what):
@@ -690,6 +685,6 @@ def save_rows(rows, path):
     The text is json.dumps(rows as lists of labels, indent=2) plus a newline,
     byte for byte.
     """
-    text = _rows([[_quote(element_label(c)) for c in t] for t in rows], 0)
+    text = _rows([[_quote(element_label(c)) for c in t] for t in rows], "\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")

@@ -63,9 +63,9 @@ the prefix yields its first solution only.  The callers differ only in the prefi
   row-major order, is range(4^m): the first solution is the least tiling
   in that order;
 - image_witnesses: the distinguished elements, so one witness per
-  achievable image tuple, in lexicographic order of the tuples; the tuples
-  the caller already knows are backtracked from as soon as they are
-  assigned, without a search below them.
+  achievable image tuple, in lexicographic order of the tuples; a tuple
+  the caller already knows is never pinned: the search passes over it
+  without propagating, searching or undoing anything for it.
 
 Every choice point is fixed and the arc-consistent fixpoint is unique, so
 results are deterministic, whatever order the queue revises in.
@@ -272,7 +272,6 @@ class _Csp:
             if not queued[x]:
                 queued[x] = 1
                 queue.append(x)
-        changed = []
         while queue:
             x = queue.pop()
             queued[x] = 0
@@ -287,22 +286,16 @@ class _Csp:
                     image = cache[d] = _image(reach, d)
                 e = dom[y]
                 if e & image != e:
-                    changed.append((y, e & image))
-            for y, nd in changed:
-                e = dom[y]
-                if nd & e != e:
-                    nd &= e
-                    if not nd:
+                    if not e & image:
                         for v in queue:
                             queued[v] = 0
                         return False
                     if trail is not None:
                         trail += (y, e)
-                    dom[y] = nd
+                    dom[y] = e & image
                     if not queued[y]:
                         queued[y] = 1
                         queue.append(y)
-            changed.clear()
         return True
 
     def search(self, prefix=(), skip=()):
@@ -315,9 +308,9 @@ class _Csp:
         backtracks to the last prefix variable, so with an empty prefix it
         yields at most one solution and with every variable in the prefix it
         yields all of them, in lexicographic order.  A prefix assignment
-        whose values, read along prefix, form a tuple in skip is backtracked
-        from as soon as it is made; undoing it restores the state its
-        successors start from, so the other solutions do not change.
+        whose values, read along prefix, form a tuple in skip is passed over
+        before its last variable is pinned, so nothing is propagated or
+        undone for it and the other solutions do not change.
         """
         dom, n = self.dom, self.n
         if not self.root() or not prefix and () in skip:
@@ -377,11 +370,11 @@ class _Csp:
             low = untried & -untried
             frames[-2] = untried ^ low
             value[var] = low.bit_length() - 1
+            if skip and len(frames) == 3 * depth and tuple([value[v] for v in prefix]) in skip:
+                continue
             # an arc-consistent node has a support for every value, so
             # each fully assigned scope holds without checking it
             if not self.pin(var, low):
-                continue
-            if skip and len(frames) == 3 * depth and tuple([value[v] for v in prefix]) in skip:
                 continue
             # past var's own entry, which pin records first when it records any
             for v in trail[mark + 2 :: 2]:
@@ -425,10 +418,10 @@ def image_witnesses(source, target, known=()):
     candidate tuples are walked in lexicographic order of their target
     ranks, a prefix that wipes out skips all of its extensions, and each
     achievable tuple is keyed to its first solution.  known holds tuples of
-    target elements the caller already has witnesses for: the search
-    backtracks as soon as the distinguished elements are assigned one of
-    them, so they are never searched below, and the other keys and their
-    witnesses are those of the full map.  More candidate tuples
+    target elements the caller already has witnesses for: the search passes
+    over an assignment of the distinguished elements to one of them without
+    pinning it, so nothing is propagated for them, and the other keys and
+    their witnesses are those of the full map.  More candidate tuples
     (|target|^k for k distinguished elements) than the size guard raise
     GuardExceededError before the search.
     """

@@ -30,6 +30,7 @@ from homforge.core import (
     product,
     save_structure,
 )
+from homforge.cq import canonical_structure, load_query
 
 import helpers
 
@@ -124,6 +125,52 @@ def test_streamed_grid_is_json_dumps(tmp_path, capsys):
         out = capsys.readouterr().out
         assert out == _expected(json.loads(out), bool(pretty))
         assert len(json.loads(out)["tiling"]) == 256
+
+
+def _reference(s):
+    """A structure as a dict of labels, built from its element tuples label by label."""
+    arity = dict(s.signature.relations)
+    return {
+        "domain": [element_label(e) for e in s.domain],
+        "relations": {
+            name: {
+                "arity": arity[name],
+                "tuples": [[element_label(c) for c in t] for t in s.relation(name)],
+            }
+            for name in sorted(arity)
+        },
+    }
+
+
+def test_structure_payloads_are_json_dumps(tmp_path, capsys):
+    # product and cq canonical print a structure: escape-heavy elements and
+    # relation names, nested product labels, an empty relation, and the
+    # product of an empty structure
+    sig = Signature((("E", 2), ('R"\\é', 1), ("empty", 3)))
+    left = Structure(sig, TRICKY[:8], {"E": [("a", '"'), ("\\", "a!")], 'R"\\é': [("a ",)]})
+    right = Structure(sig, TRICKY[8:], {"E": [("☃", "😀"), ("\x00", "\x00")]})
+    nothing = Structure(Signature(()), (), {})
+    paths = {}
+    for name, s in (("left", left), ("right", right), ("nothing", nothing)):
+        paths[name] = str(tmp_path / f"{name}.json")
+        save_structure(s, paths[name])
+    query = tmp_path / "q.json"
+    atoms = [["E", ["x", "☃"]], ['R"\\é', ['y"']], ["E", ["☃", "☃"]]]
+    query.write_text(json.dumps({"free": ["x", 'y"', "x"], "bound": ["☃"], "atoms": atoms}))
+    pointed = canonical_structure(load_query(query), sig)
+    cases = [
+        (["product", paths["left"], paths["right"]], {"structure": product([left, right])}),
+        (["product", paths["nothing"]], {"structure": product([nothing])}),
+        (["cq", "canonical", str(query), paths["left"]], {
+            "structure": pointed.structure,
+            "distinguished": [element_label(e) for e in pointed.distinguished],
+        }),
+    ]
+    for argv, payload in cases:
+        expected = dict(payload, structure=_reference(payload["structure"]))
+        for pretty in ([], ["--pretty"]):
+            assert cli.main([*pretty, *argv]) == 0
+            assert capsys.readouterr().out == _expected(expected, bool(pretty))
 
 
 def test_closed_stdout_writes_nothing_and_starts_no_batch(edge_loop, monkeypatch):

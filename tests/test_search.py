@@ -4,7 +4,8 @@ The search keeps its frames and trail flat, orders its heap by one int per
 entry and reads a solution off the domains when root propagation leaves
 every variable a singleton or in no constraint.  None of that may change a
 first solution, an image key or a witness: each is compared with
-reference_search.ReferenceCsp.
+reference_search.ReferenceCsp.  A tuple image_witnesses already knows is
+never pinned: a spy on _Csp.pin sees no assignment of the prefix to one.
 """
 
 import heapq
@@ -15,11 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homforge.core import PhpInstance, PointedStructure, digraph, product
+from homforge.cqdef import _pointed_product, reduce_php_to_nondefinability
 from homforge.homsolver import _Csp, decide_php, find_homomorphism, image_witnesses
+from homforge.normalform import digraph_transform
 from homforge.tiling import TileSystem, TilingInstance, encode_tiling_php
 
 import helpers
 from reference_search import first_solution, image_solutions
+from test_acceptance import _tiny_single_relation_corpus
 
 CHECKER = TileSystem(("k", "w"), {("k", "w"), ("w", "k")}, {("k", "w"), ("w", "k")})
 
@@ -76,6 +80,72 @@ def test_image_witnesses_match_the_reference_loop(data):
         assert list(witnesses) == list(reference)
         for key, hom in witnesses.items():
             assert hom.mapping.images == reference[key]
+
+
+def _pin_spy(monkeypatch, pointed, skip):
+    """Count pins that complete a prefix assignment, and collect those whose tuple is in skip.
+
+    The last distinct distinguished variable is pinned only to complete an
+    assignment of the prefix, after every earlier one has been pinned to a
+    single value.
+    """
+    dist = [pointed.structure.rank[e] for e in pointed.distinguished]
+    last = list(dict.fromkeys(dist))[-1] if dist else None
+    completed, known = [0], []
+    pin = _Csp.pin
+
+    def spy(self, var, bit):
+        if var == last:
+            completed[0] += 1
+            t = tuple((bit if v == var else self.dom[v]).bit_length() - 1 for v in dist)
+            if t in skip:
+                known.append(t)
+        return pin(self, var, bit)
+
+    monkeypatch.setattr(_Csp, "pin", spy)
+    return completed, known
+
+
+def _known_tuples_are_never_pinned(monkeypatch, pointed, target, known):
+    """Run image_witnesses under the pin spy and compare it with the reference loop."""
+    skip = {tuple([target.rank[c] for c in t]) for t in known}
+    completed, pinned = _pin_spy(monkeypatch, pointed, skip)
+    witnesses = image_witnesses(pointed, target, known=known)
+    monkeypatch.undo()
+    assert pinned == []
+    reference = image_solutions(pointed, target, known=known)
+    assert list(witnesses) == list(reference)
+    for key, hom in witnesses.items():
+        assert hom.mapping.images == reference[key]
+    return completed[0]
+
+
+def test_criterion_8_known_tuples_are_never_pinned(monkeypatch):
+    # each pointed product of the criterion-8 chain, with S as its known
+    # tuples: the projections already send the distinguished tuple onto S
+    completed = 0
+    for inst in _tiny_single_relation_corpus():
+        red = reduce_php_to_nondefinability(digraph_transform(inst))
+        s_set, pointed = _pointed_product(red.structure, red.s_tuples)
+        completed += _known_tuples_are_never_pinned(monkeypatch, pointed, red.structure, s_set)
+    assert completed > 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_known_tuples_are_never_pinned(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    source, target = _instance(rng)
+    n = len(source.domain)
+    if not n:
+        return
+    dist = tuple(source.domain[rng.randrange(n)] for _ in range(rng.randint(1, 3)))
+    pointed = PointedStructure(source, dist)
+    images = sorted(image_solutions(pointed, target))
+    known = set(rng.sample(images, rng.randint(0, len(images))))
+    known.add(tuple(rng.choice(target.domain) for _ in dist))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _known_tuples_are_never_pinned(monkeypatch, pointed, target, known)
 
 
 def test_the_shortcut_and_the_descent_both_run():

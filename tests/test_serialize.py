@@ -1,9 +1,9 @@
 """The hand-joined JSON writers against the json.dumps texts they replace.
 
-serialize, save_rows and element_label build their text from json's C
-string encoder; these properties pin it to json.dumps byte for byte, over
-elements and relation names that need escaping, nested tuples, empty
-domains and relations, and unary to ternary relations.
+serialize (indented and compact), save_rows and element_label build their
+text from json's C string encoder; these properties pin it to json.dumps
+byte for byte, over elements and relation names that need escaping, nested
+tuples, empty domains and relations, and unary to ternary relations.
 """
 
 import json
@@ -19,7 +19,6 @@ from homforge.core import (
     save_rows,
     save_structure,
     serialize,
-    structure_to_dict,
 )
 
 DIFF = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -77,7 +76,7 @@ def test_element_label_is_compact_json(e):
     )
 )
 def test_serialize_is_the_json_dumps_text(out, s):
-    # the dict as structure_to_dict built it from the element tuples, label by label
+    # the structure as a dict of labels, built from the element tuples label by label
     reference = {
         "domain": [element_label(e) for e in s.domain],
         "relations": {
@@ -88,7 +87,8 @@ def test_serialize_is_the_json_dumps_text(out, s):
             for name in sorted(s.signature.names())
         },
     }
-    assert structure_to_dict(s) == reference
+    compact = json.dumps(reference, sort_keys=True, separators=(",", ":")) + "\n"
+    assert serialize(s, pretty=False) == compact
     expected = json.dumps(reference, sort_keys=True, indent=2) + "\n"
     assert serialize(s) == expected
     assert _written(save_structure, s, out) == expected.encode()
